@@ -68,6 +68,15 @@ def coverage_vector(
 
     ``I[v] = W(v) * P(request for v is matched by S)``; the sum of the
     entries equals ``C(S)``.  Retained items have ``I[v] = W(v)``.
+
+    One vectorized pass over the out-edge arrays: the out-edges from
+    items outside ``S`` into ``S`` are grouped by how many such edges
+    their source has, and each group is reduced as one 2-D block along
+    ``axis=1``.  That reduces every row in the same order as a 1-D
+    ``np.prod`` / ``np.sum`` over the row's retained weights, so each
+    entry is bitwise equal to the per-item definition (``reduceat``
+    over a flat edge list is not: it sums rows of three or more edges
+    in a different order).
     """
     variant = Variant.coerce(variant)
     csr = as_csr(graph)
@@ -77,17 +86,28 @@ def coverage_vector(
 
     cover_prob = np.zeros(csr.n_items, dtype=np.float64)
     cover_prob[in_set] = 1.0
-    not_retained = np.flatnonzero(~in_set)
-    for v in not_retained:
-        targets, weights = csr.out_edges(v)
-        mask = in_set[targets]
-        if not mask.any():
-            continue
-        retained_weights = weights[mask]
-        if variant is Variant.INDEPENDENT:
-            cover_prob[v] = 1.0 - np.prod(1.0 - retained_weights)
-        else:
-            cover_prob[v] = min(1.0, float(retained_weights.sum()))
+    # Positions of the out-edges into S; positions are sorted, so their
+    # source rows come out grouped, each row's edges in CSR order.
+    edges = np.flatnonzero(in_set[csr.out_dst])
+    rows = np.searchsorted(csr.out_ptr, edges, side="right") - 1
+    outside = ~in_set[rows]
+    edges, rows = edges[outside], rows[outside]
+    if edges.size:
+        starts = np.flatnonzero(
+            np.concatenate(([True], rows[1:] != rows[:-1]))
+        )
+        counts = np.diff(np.append(starts, edges.size))
+        by_width = np.argsort(counts)
+        splits = np.flatnonzero(np.diff(counts[by_width])) + 1
+        for group in np.split(by_width, splits):
+            first = starts[group]
+            width = int(counts[group[0]])
+            block = csr.out_weight[edges[first[:, None] + np.arange(width)]]
+            if variant is Variant.INDEPENDENT:
+                prob = 1.0 - np.prod(1.0 - block, axis=1)
+            else:
+                prob = np.minimum(block.sum(axis=1), 1.0)
+            cover_prob[rows[first]] = prob
     return csr.node_weight * cover_prob
 
 

@@ -27,7 +27,11 @@ costs:
     Maintains the full gain array incrementally: adding ``v*`` only
     changes the gains of nodes within two hops, so each iteration costs
     ``O(out_deg(v*) + sum over in-neighbors' out-degrees)`` (Independent)
-    or ``O(in_deg(v*) + out_deg(v*))`` (Normalized) plus one ``argmax``.
+    or ``O(in_deg(v*) + out_deg(v*))`` (Normalized) plus the selection:
+    a lazy maximum over blocks of about ``sqrt(n)`` gains, which costs
+    ``O(sqrt(n))`` for the block it selects from plus the same for each
+    block whose cached maximum it finds stale on the way (see
+    :class:`AcceleratedGains`), in place of a full ``O(n)`` ``argmax``.
 
 All strategies implement the identical mathematical rule (max gain,
 lowest index on ties); their outputs can differ only through
@@ -37,6 +41,7 @@ floating-point summation order on near-exact ties.
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from typing import Callable, Iterable, Optional
 
@@ -505,11 +510,53 @@ def _run_lazy(
     return evaluations, None
 
 
+class AcceleratedGains:
+    """The accelerated greedy's gain array, with lazy block maxima.
+
+    ``values`` holds every candidate's marginal gain, retired entries
+    (retained or excluded) at ``-inf``.  :meth:`argmax` returns exactly
+    what ``np.argmax(values)`` returns -- the lowest index of the
+    maximum, or the first NaN if any -- without scanning all ``n`` entries:
+    the array is cut into blocks ``isqrt(n)`` wide, each with a cached
+    maximum.  :func:`accelerated_step` only lowers gains, so a cached
+    maximum stays an upper bound of its block.  The block with the
+    highest cached maximum is re-checked, and its maximum refreshed,
+    until that maximum is current; then no other block holds a higher
+    gain, nor an equal one at a lower index.  Code that raises a gain
+    must call :meth:`rescan` before the next :meth:`argmax`.
+    """
+
+    __slots__ = ("values", "_width", "_block_max")
+
+    def __init__(self, values: np.ndarray) -> None:
+        self.values = values
+        self._width = max(1, math.isqrt(values.shape[0]))
+        self.rescan()
+
+    def rescan(self) -> None:
+        """Recompute every cached block maximum from ``values``."""
+        starts = np.arange(0, self.values.shape[0], self._width)
+        self._block_max = np.maximum.reduceat(self.values, starts)
+
+    def argmax(self) -> int:
+        """Index of the maximum gain, lowest index on ties."""
+        values, block_max, width = self.values, self._block_max, self._width
+        while True:
+            block = int(block_max.argmax())
+            lo = block * width
+            chunk = values[lo:lo + width]
+            offset = int(chunk.argmax())
+            current = chunk[offset]
+            # A NaN is np.argmax's maximum but never equals the cache.
+            if current == block_max[block] or current != current:
+                return lo + offset
+            block_max[block] = current
+
+
 def accelerated_step(
     state: GreedyState,
-    gains: np.ndarray,
+    gains: AcceleratedGains,
     force: Optional[int] = None,
-    forbidden: Optional[np.ndarray] = None,
     tracer=NULL_TRACER,
 ) -> tuple:
     """One iteration of the accelerated greedy: select, commit, patch gains.
@@ -519,7 +566,7 @@ def accelerated_step(
     bookkeeping is identical either way.
 
     Adding the selected node ``v*`` perturbs candidate gains in exactly
-    three ways, each patched in place on ``gains``:
+    three ways, each patched in place on ``gains.values``:
 
     1. ``v*`` itself leaves the candidate pool;
     2. each out-neighbor ``x`` of ``v*`` loses the term ``v*`` contributed
@@ -531,18 +578,19 @@ def accelerated_step(
        only ``u``'s self term changes.
 
     Returns ``(best, gain)``.  Shared by :func:`greedy_solve` and the
-    complementary threshold solver.
+    threshold, incremental and quota solvers.
     """
     csr = state.csr
     variant = state.variant
+    values = gains.values
     if force is None:
         # Retired candidates (retained or forbidden) are kept at -inf in
-        # the gains array itself, so selection is a plain argmax.
-        best = int(np.argmax(gains))
-        gain = float(gains[best])
+        # the gains array itself, so selection needs no mask.
+        best = gains.argmax()
+        gain = float(values[best])
     else:
         best = int(force)
-        gain = float(gains[best])
+        gain = float(values[best])
         if gain == -np.inf:
             gain = 0.0  # forced re-commit of an already-retired entry
 
@@ -562,30 +610,37 @@ def accelerated_step(
     out_dst, out_w = csr.out_edges(best)
     if out_dst.size:
         if variant is Variant.INDEPENDENT:
-            gains[out_dst] -= out_w * deficit_before
+            values[out_dst] -= out_w * deficit_before
         else:
-            gains[out_dst] -= out_w * csr.node_weight[best]
+            values[out_dst] -= out_w * csr.node_weight[best]
 
     # (3) in-neighbors' deficits shrank.
     fanout = 0
     if u_nodes.size:
         if variant is Variant.INDEPENDENT:
             delta = u_weights * u_deficit_before  # deficit reduction
-            np.add.at(gains, u_nodes, -delta)  # self terms
+            np.add.at(values, u_nodes, -delta)  # self terms
             # Contributions to every out-neighbor x of each u: the
             # two-hop scatter is the widest part of the patch, so it is
             # delegated to the kernel backend.
             fanout = int(
                 state.kernels.fanout_update(
-                    gains, u_nodes, delta,
+                    values, u_nodes, delta,
                     csr.out_ptr, csr.out_dst, csr.out_weight,
                 )
             )
         else:
             delta = u_weights * csr.node_weight[u_nodes]
-            np.add.at(gains, u_nodes, -delta)
+            np.add.at(values, u_nodes, -delta)
 
-    gains[best] = -np.inf
+    values[best] = -np.inf
+    if variant is Variant.INDEPENDENT and (
+        deficit_before < 0 or (u_deficit_before < 0).any()
+    ):
+        # Validation admits edge weights up to 1 + 1e-6, which can push
+        # a deficit below zero; subtracting a negative amount raised
+        # some gains past their block's cached maximum.
+        gains.rescan()
     if tracer.enabled:
         # Width of the incremental patch: the retired entry itself, the
         # out-neighbor updates, the in-neighbor self terms and (under
@@ -628,11 +683,11 @@ def _run_accelerated(
 
 def prepare_accelerated_gains(
     state: GreedyState, forbidden: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Gain array for :func:`accelerated_step`: retired entries at -inf."""
+) -> AcceleratedGains:
+    """Gains for :func:`accelerated_step`: retired entries at -inf."""
     gains = state.gains_all()
     if state.size:
         gains[state.in_set] = -np.inf
     if forbidden is not None:
         gains[forbidden] = -np.inf
-    return gains
+    return AcceleratedGains(gains)

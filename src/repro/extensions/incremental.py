@@ -142,10 +142,9 @@ class IncrementalSolver:
                     break  # item disappeared; diverge here
                 if state.in_set[candidate]:
                     break
-                best_gain = float(
-                    np.max(np.where(state.in_set, -np.inf, gains))
-                )
-                if gains[candidate] + self.tolerance < best_gain:
+                # Retained entries are already -inf in the gain array.
+                best_gain = gains.values[gains.argmax()]
+                if gains.values[candidate] + self.tolerance < best_gain:
                     break  # no longer a maximum-gain choice
                 accelerated_step(state, gains, force=candidate, tracer=tracer)
                 prefix_covers[state.size] = state.cover

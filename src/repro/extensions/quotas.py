@@ -20,6 +20,7 @@ import numpy as np
 from .._compat import keyword_only_shim
 from ..core.csr import as_csr
 from ..core.gain import GreedyState
+from ..core.greedy import accelerated_step, prepare_accelerated_gains
 from ..core.result import SolveResult
 from ..core.variants import Variant
 from ..errors import SolverError, UnknownItemError
@@ -85,8 +86,8 @@ def quota_greedy_solve(
         raise SolverError(f"k={k} out of range [0, {n}]")
 
     state = GreedyState(csr, variant, tracer=tracer)
-    gains = state.gains_all()
-    blocked = np.zeros(n, dtype=bool)
+    # Blocked candidates are retired to -inf like retained ones.
+    gains = prepare_accelerated_gains(state)
     prefix_covers = [0.0]
     if tracer.enabled:
         tracer.event(
@@ -96,19 +97,16 @@ def quota_greedy_solve(
     start = time.perf_counter()
 
     while state.size < k:
-        masked = np.where(state.in_set | blocked, -np.inf, gains)
-        best = int(np.argmax(masked))
-        if masked[best] == -np.inf:
+        best = gains.argmax()
+        if gains.values[best] == -np.inf:
             break  # every category exhausted
         category = category_of[best]
         if category in remaining and remaining[category] <= 0:
-            blocked[best] = True
+            gains.values[best] = -np.inf
             if tracer.enabled:
                 tracer.incr("quota.blocked_candidates")
             continue
         # Commit via the shared accelerated bookkeeping.
-        from ..core.greedy import accelerated_step
-
         _, gain = accelerated_step(state, gains, force=best, tracer=tracer)
         prefix_covers.append(state.cover)
         if tracer.enabled:
@@ -121,9 +119,9 @@ def quota_greedy_solve(
             remaining[category] -= 1
             if remaining[category] <= 0:
                 # Block the whole exhausted category at once.
-                blocked |= np.asarray(
+                gains.values[np.asarray(
                     [category_of[i] == category for i in range(n)]
-                )
+                )] = -np.inf
                 if tracer.enabled:
                     tracer.incr("quota.categories_exhausted")
     elapsed = time.perf_counter() - start

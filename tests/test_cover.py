@@ -1,12 +1,52 @@
 """Tests for the exact cover function (Definitions 2.1 and 2.2)."""
 
+import itertools
+import random
+
 import numpy as np
 import pytest
 
 from repro.core.cover import cover, coverage_vector, item_coverage, resolve_indices
 from repro.core.csr import CSRGraph, as_csr
 from repro.core.graph import PreferenceGraph
+from repro.core.variants import Variant
 from repro.errors import UnknownItemError
+from repro.evaluation.fuzz import generate_case
+
+
+def reference_coverage_vector(csr, retained, variant):
+    """The per-item definition: one ``np.prod`` / ``np.sum`` per row."""
+    variant = Variant.coerce(variant)
+    indices = resolve_indices(csr, retained)
+    in_set = np.zeros(csr.n_items, dtype=bool)
+    in_set[indices] = True
+    cover_prob = np.zeros(csr.n_items, dtype=np.float64)
+    cover_prob[in_set] = 1.0
+    for v in np.flatnonzero(~in_set):
+        targets, weights = csr.out_edges(v)
+        mask = in_set[targets]
+        if not mask.any():
+            continue
+        retained_weights = weights[mask]
+        if variant is Variant.INDEPENDENT:
+            cover_prob[v] = 1.0 - np.prod(1.0 - retained_weights)
+        else:
+            cover_prob[v] = min(1.0, float(retained_weights.sum()))
+    return csr.node_weight * cover_prob
+
+
+def reference_item_coverage(csr, retained, variant):
+    """``I[v] / W(v)`` per item; a retained zero-weight item reads 1."""
+    vector = reference_coverage_vector(csr, retained, variant)
+    retained_mask = np.zeros(csr.n_items, dtype=bool)
+    retained_mask[resolve_indices(csr, retained)] = True
+    out = np.zeros(csr.n_items, dtype=np.float64)
+    for v, weight in enumerate(csr.node_weight):
+        if weight > 0:
+            out[v] = vector[v] / weight
+        elif retained_mask[v]:
+            out[v] = 1.0
+    return out
 
 
 class TestBasicProperties:
@@ -107,6 +147,107 @@ class TestItemCoverage:
         assert conditional[csr.index_of("zero")] == 0.0
         conditional_retained = item_coverage(g, ["a", "zero"], "independent")
         assert conditional_retained[csr.index_of("zero")] == 1.0
+
+
+def _hand_built_graphs():
+    """Small graphs, each with one row shape the vectorized pass groups."""
+    return {
+        "zero_weight_items": PreferenceGraph.from_weights(
+            {"a": 0.5, "z1": 0.0, "b": 0.5, "z2": 0.0},
+            edges=[("z1", "a", 0.5), ("z2", "b", 0.3), ("z2", "a", 0.6),
+                   ("a", "b", 0.4), ("b", "z1", 0.2)],
+        ),
+        "no_out_edges": PreferenceGraph.from_weights(
+            {"s1": 0.3, "v": 0.5, "s2": 0.2},
+            edges=[("v", "s1", 0.5)],
+        ),
+        # The later record of a repeated pair upserts the earlier one.
+        "duplicate_edge_records": PreferenceGraph.from_weights(
+            {"a": 0.4, "b": 0.3, "c": 0.3},
+            edges=[("a", "b", 0.9), ("a", "c", 0.2), ("a", "b", 0.35),
+                   ("c", "b", 0.5), ("c", "b", 0.25)],
+        ),
+        "probability_one_edges": PreferenceGraph.from_weights(
+            {"a": 0.25, "b": 0.25, "c": 0.25, "d": 0.25},
+            edges=[("a", "b", 1.0), ("c", "b", 1.0), ("c", "d", 0.5),
+                   ("d", "a", 1.0)],
+        ),
+        # With a, b and c retained, v's row sums 0.27 + 0.1 + 0.05, which
+        # np.add.reduceat rounds one ulp away from np.sum.
+        "wide_row": PreferenceGraph.from_weights(
+            {"v": 0.4, "a": 0.15, "b": 0.15, "c": 0.15, "d": 0.15},
+            edges=[("v", "a", 0.27), ("v", "b", 0.1), ("v", "c", 0.05),
+                   ("v", "d", 0.5), ("a", "b", 0.3), ("d", "c", 0.7)],
+        ),
+    }
+
+
+def _dense_graph(seed):
+    """Out-degrees up to 40, so rows reach the pairwise-summation sizes."""
+    rng = np.random.default_rng(seed)
+    n = 120
+    src, dst, weight = [], [], []
+    for v in range(n):
+        degree = int(rng.integers(0, 41))
+        targets = rng.choice(np.delete(np.arange(n), v), degree, replace=False)
+        raw = rng.random(degree)
+        src.extend([v] * degree)
+        dst.extend(targets.tolist())
+        weight.extend((raw * rng.uniform(0.3, 0.99) / max(raw.sum(), 1.0)).tolist())
+    node_weight = rng.random(n)
+    return CSRGraph.from_arrays(
+        node_weight / node_weight.sum(), np.array(src), np.array(dst),
+        np.array(weight),
+    )
+
+
+def _assert_matches_reference(csr, retained, variant):
+    expected = reference_coverage_vector(csr, retained, variant)
+    assert coverage_vector(csr, retained, variant).tobytes() == expected.tobytes()
+    assert cover(csr, retained, variant) == float(expected.sum())
+    conditional = item_coverage(csr, retained, variant)
+    assert conditional.tobytes() == reference_item_coverage(
+        csr, retained, variant
+    ).tobytes()
+
+
+class TestMatchesPerItemReference:
+    """The vectorized pass equals the per-item loop bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(_hand_built_graphs()))
+    def test_hand_built_every_subset(self, name, variant):
+        csr = as_csr(_hand_built_graphs()[name])
+        for size in range(csr.n_items + 1):
+            for retained in itertools.combinations(csr.items, size):
+                _assert_matches_reference(csr, list(retained), variant)
+
+    def test_wide_row_is_the_reduceat_shape(self):
+        csr = as_csr(_hand_built_graphs()["wide_row"])
+        row = np.array([0.27, 0.1, 0.05])
+        assert np.add.reduceat(row, [0])[0] != row.sum()
+        retained = ["a", "b", "c"]
+        expected = min(1.0, float(row.sum())) * 0.4
+        vector = coverage_vector(csr, retained, "normalized")
+        assert vector[csr.index_of("v")] == expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fuzz_cases(self, seed):
+        rng = random.Random(seed)
+        for _ in range(25):
+            case = generate_case(rng)
+            csr = as_csr(case.build_graph())
+            for _ in range(4):
+                size = rng.randrange(csr.n_items + 1)
+                retained = rng.sample(list(csr.items), size)
+                _assert_matches_reference(csr, retained, case.variant)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dense_rows(self, seed, variant):
+        csr = _dense_graph(seed)
+        rng = np.random.default_rng(seed)
+        for size in (0, 1, 10, 60, 110, csr.n_items):
+            retained = rng.choice(csr.n_items, size, replace=False).tolist()
+            _assert_matches_reference(csr, retained, variant)
 
 
 class TestResolveIndices:
