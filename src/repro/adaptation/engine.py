@@ -20,9 +20,10 @@ session, following the paper's construction exactly:
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Optional
+
+import numpy as np
 
 from ..core.graph import PreferenceGraph
 from ..core.variants import Variant
@@ -92,68 +93,65 @@ class DataAdaptationEngine:
         Raises :class:`AdaptationError` when the stream contains no
         purchases (node weights would be undefined).  When a ``tracer``
         is supplied the engine records session/edge counters under the
-        ``adaptation.*`` metric prefix.
+        ``adaptation.*`` metric prefix.  The build runs on the stream's
+        :meth:`~Clickstream.encoding`, which the variant-fitness tests
+        share, so a stream is encoded once per pipeline run.
         """
         tracer = coerce_tracer(tracer)
         config = self.config
-        purchase_counts: Counter = Counter()
-        # click_mass[(A, B)]: (weighted) number of A-purchasing sessions
-        # that clicked B;  session_support[(A, B)]: raw session count.
-        click_mass: Dict[Tuple[Hashable, Hashable], float] = defaultdict(float)
-        session_support: Counter = Counter()
-        click_only_items = set()
-        n_sessions = 0
-
-        for session in clickstream:
-            n_sessions += 1
-            if session.purchase is None:
-                continue
-            desired = session.purchase
-            purchase_counts[desired] += 1
-            alternatives = session.alternatives()
-            if not alternatives:
-                continue
-            if config.variant is Variant.NORMALIZED:
-                weight = 1.0 / len(alternatives)
-            else:
-                weight = 1.0
-            for clicked in alternatives:
-                click_mass[(desired, clicked)] += weight
-                session_support[(desired, clicked)] += 1
-                click_only_items.add(clicked)
-
-        total_purchases = sum(purchase_counts.values())
+        n_sessions = len(clickstream)
+        encoding = clickstream.encoding()
+        total_purchases = encoding.n_purchases
         if total_purchases == 0:
             raise AdaptationError(
                 "clickstream contains no purchasing sessions; cannot "
                 "estimate item popularity"
             )
+        items = encoding.items
+        counts = encoding.purchase_counts()
+        pairs = encoding.pairs()
 
         graph = PreferenceGraph()
-        for item, count in purchase_counts.items():
-            graph.add_item(item, count / total_purchases)
+        for code in encoding.first_purchase_order().tolist():
+            graph.add_item(items[code], int(counts[code]) / total_purchases)
         if config.include_unpurchased:
-            for item in click_only_items:
-                if item not in graph:
-                    graph.add_item(item, 0.0)
+            # Never-purchased codes are click-only items; codes are
+            # assigned in first-seen order, so this is first-click order.
+            for code in np.flatnonzero(counts == 0).tolist():
+                graph.add_item(items[code], 0.0)
 
-        edges_kept = 0
-        for (desired, clicked), mass in click_mass.items():
-            if clicked not in graph or desired not in graph:
-                continue  # endpoint excluded (never purchased)
-            if session_support[(desired, clicked)] < config.min_edge_sessions:
-                continue
-            weight = config.correction_factor * mass / (
-                purchase_counts[desired] + config.laplace_alpha
+        # mass: (weighted) number of A-purchasing sessions that clicked
+        # B, summed in session order as a running total would be.
+        if config.variant is Variant.NORMALIZED:
+            lengths = encoding.lengths()
+            lengths = lengths[lengths > 0]
+            share = np.repeat(1.0 / lengths, lengths)  # 1/t per alternative
+            mass = np.bincount(
+                pairs.entry_pair, weights=share, minlength=pairs.support.size
             )
-            if weight <= config.min_edge_weight:
-                continue
-            graph.add_edge(desired, clicked, min(weight, 1.0))
-            edges_kept += 1
+        else:
+            mass = pairs.support.astype(np.float64)
+        weight = config.correction_factor * mass / (
+            counts[pairs.source] + config.laplace_alpha
+        )
+        keep = (pairs.support >= config.min_edge_sessions) & (
+            weight > config.min_edge_weight
+        )
+        if not config.include_unpurchased:
+            keep &= counts[pairs.target] > 0  # endpoint never purchased
+        kept = np.flatnonzero(keep)
+        kept = kept[np.argsort(pairs.first[kept])]  # first-occurrence order
+        for source, target, value in zip(
+            pairs.source[kept].tolist(),
+            pairs.target[kept].tolist(),
+            np.minimum(weight[kept], 1.0).tolist(),
+        ):
+            graph.add_edge(items[source], items[target], value)
+        edges_kept = kept.size
         if tracer.enabled:
             tracer.incr("adaptation.sessions", n_sessions)
             tracer.incr("adaptation.purchasing_sessions", total_purchases)
-            tracer.incr("adaptation.candidate_edges", len(click_mass))
+            tracer.incr("adaptation.candidate_edges", pairs.support.size)
             tracer.incr("adaptation.edges_kept", edges_kept)
             tracer.incr("adaptation.items", graph.n_items)
             tracer.event(

@@ -47,7 +47,9 @@ class OnlineAdaptationEngine:
         self._session_support: Dict[Tuple[Hashable, Hashable], float] = (
             defaultdict(float)
         )
-        self._click_only: set = set()
+        # Click-only candidates in first-click order (a dict, not a set,
+        # so the snapshot's item order does not depend on hashing).
+        self._click_only: Dict[Hashable, None] = {}
         self._observed_sessions = 0
 
     # ------------------------------------------------------------------
@@ -73,7 +75,7 @@ class OnlineAdaptationEngine:
         for clicked in alternatives:
             self._click_mass[(desired, clicked)] += weight
             self._session_support[(desired, clicked)] += 1.0
-            self._click_only.add(clicked)
+            self._click_only[clicked] = None
 
     def observe_all(self, sessions: Iterable[Session]) -> None:
         """Fold many sessions (a Clickstream works directly)."""

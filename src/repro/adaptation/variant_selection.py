@@ -21,10 +21,10 @@ returned as the fallback with ``fits=False``.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 from ..core.variants import Variant
 from ..errors import AdaptationError
@@ -59,17 +59,11 @@ class VariantRecommendation:
 
 def normalized_fit(clickstream: Clickstream) -> float:
     """Fraction of purchasing sessions with <= 1 distinct alternative."""
-    total = 0
-    at_most_one = 0
-    for session in clickstream:
-        if session.purchase is None:
-            continue
-        total += 1
-        if len(session.alternatives()) <= 1:
-            at_most_one += 1
+    encoding = clickstream.encoding()
+    total = encoding.n_purchases
     if total == 0:
         raise AdaptationError("clickstream contains no purchasing sessions")
-    return at_most_one / total
+    return int(np.count_nonzero(encoding.lengths() <= 1)) / total
 
 
 def _binary_entropy(p: float) -> float:
@@ -109,6 +103,23 @@ def _pair_nmi(n11: int, n10: int, n01: int, n00: int) -> float:
     return max(0.0, mutual) / math.sqrt(hx * hy)
 
 
+def _row_start(row: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Index of pair ``(row, row + 1)`` in ``combinations(range(width), 2)``."""
+    return row * (width - 1) - row * (row - 1) // 2
+
+
+def _pair_rows(index: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Row ``i`` of the ``index``-th pair ``(i, j)`` of ``combinations``."""
+    b = 2 * width - 1
+    row = np.floor((b - np.sqrt(b * b - 8.0 * index)) / 2).astype(np.int64)
+    while True:  # repair float rounding
+        low = _row_start(row, width) > index
+        high = _row_start(row + 1, width) <= index
+        if not (low.any() or high.any()):
+            return row
+        row += high.astype(np.int64) - low
+
+
 def independence_score(
     clickstream: Clickstream,
     *,
@@ -123,53 +134,101 @@ def independence_score(
     for very wide items), then average over items weighted by purchase
     counts (so rarely bought items do not skew the score).  Returns
     ``None`` when no item qualifies.
+
+    An item's alternatives are sorted by ``repr`` and its pairs taken
+    in ``itertools.combinations`` order.  The contingency counts come
+    from the stream's :meth:`~Clickstream.encoding`: a pair's marginals
+    are the supports of the item's two edges, and ``n11`` counts the
+    item's sessions that clicked both.
     """
-    per_item_sessions: Dict[Hashable, List[frozenset]] = defaultdict(list)
-    purchase_counts: Counter = Counter()
-    for session in clickstream:
-        if session.purchase is None:
-            continue
-        purchase_counts[session.purchase] += 1
-        per_item_sessions[session.purchase].append(
-            frozenset(session.alternatives())
-        )
+    encoding = clickstream.encoding()
+    counts = encoding.purchase_counts()
+    pairs = encoding.pairs()
+    items = encoding.items
+    n = encoding.n_items
+
+    # Number of scored pairs per item, and each item's first pair.
+    width = np.bincount(pairs.source, minlength=n)
+    scored = (counts >= min_purchases) & (width >= 2)
+    n_scored = np.where(
+        scored,
+        np.minimum(width * (width - 1) // 2, max(max_pairs_per_item, 1)),
+        0,
+    )
+    first_pair = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(n_scored, out=first_pair[1:])
+    total = int(first_pair[-1])
+    if total == 0:
+        return None
+
+    # Rank of every (item, alternative) pair among the item's
+    # alternatives sorted by repr (ties keep code order).
+    members = np.flatnonzero(scored[pairs.source])
+    targets = np.flatnonzero(np.bincount(pairs.target[members], minlength=n))
+    reprs = [repr(items[code]) for code in targets.tolist()]
+    repr_rank = np.zeros(n, dtype=np.int64)
+    repr_rank[targets[sorted(range(len(reprs)), key=reprs.__getitem__)]] = (
+        np.arange(targets.size)
+    )
+    members = members[
+        np.lexsort((repr_rank[pairs.target[members]], pairs.source[members]))
+    ]
+    member_source = pairs.source[members]
+    item_start = np.searchsorted(member_source, np.arange(n))
+    local = np.zeros(pairs.support.size, dtype=np.int64)
+    local[members] = np.arange(members.size) - item_start[member_source]
+
+    # The scored pairs (i, j) of every item, in combinations order.
+    pair_item = np.repeat(np.arange(n), n_scored)
+    pair_width = width[pair_item]
+    index = np.arange(total) - first_pair[pair_item]
+    row = _pair_rows(index, pair_width)
+    col = index - _row_start(row, pair_width) + row + 1
+
+    # n11: sessions clicking both, from each session's alternative pairs.
+    lengths = encoding.lengths()
+    entry_item = np.repeat(encoding.purchase, lengths)
+    entry_local = local[pairs.entry_pair]
+    remaining = np.repeat(encoding.offsets[1:], lengths) - np.arange(
+        entry_local.size
+    ) - 1  # alternatives after each entry in its session
+    hits = [np.zeros(0, dtype=np.int64)]
+    left = np.flatnonzero(scored[entry_item] & (remaining > 0))
+    step = 1
+    while left.size:
+        lo = np.minimum(entry_local[left], entry_local[left + step])
+        hi = np.maximum(entry_local[left], entry_local[left + step])
+        item = entry_item[left]
+        at = _row_start(lo, width[item]) + hi - lo - 1
+        hit = at < n_scored[item]
+        hits.append(first_pair[item[hit]] + at[hit])
+        step += 1
+        left = left[remaining[left] >= step]
+    n11 = np.bincount(np.concatenate(hits), minlength=total)
+
+    pair_of = members[item_start[pair_item] + row]
+    n10 = pairs.support[pair_of] - n11
+    pair_of = members[item_start[pair_item] + col]
+    n01 = pairs.support[pair_of] - n11
+    n00 = counts[pair_item] - n11 - n10 - n01
+    cache: Dict[Tuple[int, int, int, int], float] = {}
+    values = []
+    for cell in zip(n11.tolist(), n10.tolist(), n01.tolist(), n00.tolist()):
+        value = cache.get(cell)
+        if value is None:
+            value = cache[cell] = _pair_nmi(*cell)
+        values.append(value)
 
     weighted_sum = 0.0
     weight_total = 0.0
-    for item, session_sets in per_item_sessions.items():
-        if purchase_counts[item] < min_purchases:
-            continue
-        alternatives = sorted(
-            {alt for clicked in session_sets for alt in clicked},
-            key=repr,
-        )
-        if len(alternatives) < 2:
-            continue
-        pair_values = []
-        for b, c in combinations(alternatives, 2):
-            n11 = n10 = n01 = n00 = 0
-            for clicked in session_sets:
-                b_in = b in clicked
-                c_in = c in clicked
-                if b_in and c_in:
-                    n11 += 1
-                elif b_in:
-                    n10 += 1
-                elif c_in:
-                    n01 += 1
-                else:
-                    n00 += 1
-            pair_values.append(_pair_nmi(n11, n10, n01, n00))
-            if len(pair_values) >= max_pairs_per_item:
-                break
-        if not pair_values:
-            continue
+    bounds = first_pair.tolist()
+    order = encoding.first_purchase_order()
+    for item in order[scored[order]].tolist():
+        pair_values = values[bounds[item]:bounds[item + 1]]
         item_score = sum(pair_values) / len(pair_values)
-        weighted_sum += purchase_counts[item] * item_score
-        weight_total += purchase_counts[item]
-
-    if weight_total == 0.0:
-        return None
+        count = int(counts[item])
+        weighted_sum += count * item_score
+        weight_total += count
     return weighted_sum / weight_total
 
 

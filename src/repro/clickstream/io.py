@@ -51,6 +51,9 @@ _SAMPLE_LIMIT = 5
 #: (prevents a bad first line from tripping a fractional budget).
 _BUDGET_MIN_RECORDS = 20
 
+#: Decodes one JSONL record (see :func:`_decode_line`).
+_raw_decode = json.JSONDecoder().raw_decode
+
 #: Types accepted as item / session identifiers.  A *string* ``clicks``
 #: value is specifically rejected: ``tuple("abc")`` silently explodes
 #: into per-character items.
@@ -184,14 +187,31 @@ def write_jsonl(clickstream: Clickstream, path: PathLike) -> None:
             handle.write(json.dumps(record) + "\n")
 
 
-def _session_from_jsonl(path: PathLike, line_no: int, line: str) -> Session:
-    """Parse and validate one JSONL record (raises on any defect)."""
+def _decode_line(path: PathLike, line_no: int, line: str):
+    """Decode one stripped JSONL line exactly as ``json.loads`` would.
+
+    ``raw_decode`` skips the wrapper and whitespace scans of
+    ``json.loads``; any line it rejects or does not consume whole is
+    decoded again by ``json.loads``, so every rejection keeps its
+    message.
+    """
     try:
-        record = json.loads(line)
+        record, end = _raw_decode(line)
+        if end == len(line):
+            return record
+    except ValueError:
+        pass
+    try:
+        return json.loads(line)
     except json.JSONDecodeError as exc:
         raise _bad_record(
             path, line_no, "invalid-json", f"invalid JSON: {exc}"
         ) from exc
+
+
+def _session_from_jsonl(path: PathLike, line_no: int, line: str) -> Session:
+    """Parse and validate one JSONL record (raises on any defect)."""
+    record = _decode_line(path, line_no, line)
     if not isinstance(record, dict):
         raise _bad_record(
             path, line_no, "not-an-object",

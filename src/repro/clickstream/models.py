@@ -8,13 +8,22 @@ clicked plus the (at most one) item purchased.  Sessions ending in a
 purchase are the signal the Data Adaptation Engine consumes: the
 purchased item is the *desired* item, and clicked items are the
 alternatives the consumer considered.
+
+:class:`PurchaseEncoding` is the integer form of those purchasing
+sessions that the adaptation layer computes on: item ids interned to
+codes, one purchase code per session and the alternatives as CSR
+offsets plus codes.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import (
+    Dict, Hashable, Iterable, Iterator, List, NamedTuple, Optional, Tuple,
+)
+
+import numpy as np
 
 from ..errors import ClickstreamFormatError
 
@@ -63,6 +72,145 @@ class Session:
         return tuple(result)
 
 
+class AlternativePairs(NamedTuple):
+    """The distinct (purchase, alternative) pairs of a :class:`PurchaseEncoding`.
+
+    Pair ``j`` is ``source[j] -> target[j]`` (item codes); pairs are
+    sorted by ``(source, target)``.  ``support[j]`` counts the
+    purchasing sessions with the pair and ``first[j]`` is the position
+    in :attr:`PurchaseEncoding.alternatives` of its first occurrence, so
+    ``argsort(first)`` is first-occurrence order.  ``entry_pair[e]`` is
+    the pair of alternative entry ``e``.
+    """
+
+    source: np.ndarray
+    target: np.ndarray
+    support: np.ndarray
+    first: np.ndarray
+    entry_pair: np.ndarray
+
+
+def _code_dtype(n: int):
+    """The smallest of int32/int64 holding the codes ``0..n-1``."""
+    return np.int32 if n < np.iinfo(np.int32).max else np.int64
+
+
+class PurchaseEncoding:
+    """Integer encoding of the purchasing sessions of a clickstream.
+
+    Item ids are interned to codes ``0..n_items-1`` in first-seen order,
+    reading each purchasing session's purchase and then its
+    alternatives.  Row ``i`` is the ``i``-th purchasing session in
+    stream order: ``purchase[i]`` is its purchase code and
+    ``alternatives[offsets[i]:offsets[i + 1]]`` are the codes of
+    :meth:`Session.alternatives`, in the same order.  Browse-only
+    sessions have no row.  Ids that compare equal (``1`` and ``True``)
+    share one code, as they share one dict key.
+    """
+
+    def __init__(
+        self,
+        items: Tuple[ItemId, ...],
+        purchase: np.ndarray,
+        offsets: np.ndarray,
+        alternatives: np.ndarray,
+    ) -> None:
+        self.items = items
+        self.purchase = purchase
+        self.offsets = offsets
+        self.alternatives = alternatives
+        self._pairs: Optional[AlternativePairs] = None
+        # Frozen: one encoding is shared by every caller of its stream.
+        for array in (purchase, offsets, alternatives):
+            array.setflags(write=False)
+
+    @classmethod
+    def from_sessions(cls, sessions: Iterable[Session]) -> "PurchaseEncoding":
+        """Encode ``sessions``, calling :meth:`Session.alternatives` once each."""
+        sequence: List[ItemId] = []  # purchase, then alternatives, per row
+        lengths: List[int] = []
+        for session in sessions:
+            purchase = session.purchase
+            if purchase is None:
+                continue
+            alternatives = session.alternatives()
+            sequence.append(purchase)
+            sequence.extend(alternatives)
+            lengths.append(len(alternatives))
+        index: Dict[ItemId, int] = dict.fromkeys(sequence)
+        for code, item in enumerate(index):
+            index[item] = code
+        codes = np.fromiter(
+            map(index.__getitem__, sequence), dtype=_code_dtype(len(index)),
+            count=len(sequence),
+        )
+        del sequence  # release the id list before the array copies
+        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(np.array(lengths, dtype=np.int64), out=offsets[1:])
+        is_alternative = np.ones(codes.size, dtype=bool)
+        rows = offsets[:-1] + np.arange(len(lengths))  # purchase positions
+        is_alternative[rows] = False
+        return cls(tuple(index), codes[rows], offsets, codes[is_alternative])
+
+    # ------------------------------------------------------------------
+    @property
+    def n_items(self) -> int:
+        """Number of distinct item codes."""
+        return len(self.items)
+
+    @property
+    def n_purchases(self) -> int:
+        """Number of purchasing sessions (rows)."""
+        return self.purchase.shape[0]
+
+    def lengths(self) -> np.ndarray:
+        """Number of alternatives of each row."""
+        return np.diff(self.offsets)
+
+    def purchase_counts(self) -> np.ndarray:
+        """Purchasing sessions per item code."""
+        return np.bincount(self.purchase, minlength=self.n_items)
+
+    def first_purchase_order(self) -> np.ndarray:
+        """Codes of the purchased items, in order of first purchase."""
+        codes, first = np.unique(self.purchase, return_index=True)
+        return codes[np.argsort(first)]
+
+    def pairs(self) -> AlternativePairs:
+        """The distinct (purchase, alternative) pairs; computed once."""
+        if self._pairs is None:
+            self._pairs = self._group_pairs()
+            for array in self._pairs:
+                array.setflags(write=False)
+        return self._pairs
+
+    def _group_pairs(self) -> AlternativePairs:
+        n = self.n_items
+        # Key each entry by (source, target); keys stay under n * n.
+        keys = np.repeat(
+            self.purchase.astype(_code_dtype(n * n)), self.lengths()
+        )
+        keys *= n
+        keys += self.alternatives
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        is_new = np.empty(keys.size, dtype=bool)
+        is_new[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=is_new[1:])
+        starts = np.flatnonzero(is_new)
+        dtype = _code_dtype(starts.size)
+        entry_pair = np.empty(keys.size, dtype=dtype)
+        entry_pair[order] = np.cumsum(is_new, dtype=dtype) - 1
+        unique = keys[starts]
+        return AlternativePairs(
+            source=unique // n,
+            target=unique % n,
+            support=np.diff(starts, append=keys.size),
+            first=order[starts],
+            entry_pair=entry_pair,
+        )
+
+
 class Clickstream:
     """A collection of sessions with summary accessors.
 
@@ -72,6 +220,7 @@ class Clickstream:
 
     def __init__(self, sessions: Iterable[Session]) -> None:
         self._sessions: List[Session] = list(sessions)
+        self._encoding: Optional[PurchaseEncoding] = None
         ids = set()
         for session in self._sessions:
             if session.session_id in ids:
@@ -121,6 +270,17 @@ class Clickstream:
             if session.purchase is not None:
                 counts[session.purchase] += 1
         return counts
+
+    def encoding(self) -> PurchaseEncoding:
+        """Integer encoding of the purchasing sessions.
+
+        Built on the first call and kept, which is safe because a
+        clickstream has no mutators: the variant-fitness tests and the
+        adaptation engine share one encoding per stream.
+        """
+        if self._encoding is None:
+            self._encoding = PurchaseEncoding.from_sessions(self._sessions)
+        return self._encoding
 
     def stats(self) -> Dict[str, int]:
         """Table 2-style summary: sessions, purchases, items."""

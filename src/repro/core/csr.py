@@ -136,7 +136,10 @@ class CSRGraph:
             raise GraphValidationError("self-edges are not allowed")
         if edge_src.size:
             keys = edge_src * np.int64(n) + edge_dst
-            if np.unique(keys).size != keys.size:
+            # Sort and compare neighbours: np.unique may take a hash
+            # path that is far slower and larger on millions of keys.
+            keys.sort()
+            if np.any(keys[1:] == keys[:-1]):
                 raise GraphValidationError(
                     "duplicate edges: the model has one probability per "
                     "ordered item pair"

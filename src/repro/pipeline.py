@@ -231,7 +231,7 @@ class InventoryReducer:
 
     def _k_clamped_from(self, graph) -> Optional[int]:
         """The requested ``k`` when it exceeds the catalog (else None)."""
-        if self.k is not None and self.k > as_csr(graph).n_items:
+        if self.k is not None and self.k > graph.n_items:
             return self.k
         return None
 
@@ -239,7 +239,7 @@ class InventoryReducer:
         """Dispatch to the fixed-k or threshold solver."""
         with self.tracer.span("pipeline.solve"):
             if self.k is not None:
-                n_items = as_csr(graph).n_items
+                n_items = graph.n_items
                 k = min(self.k, n_items)
                 if k < self.k:
                     # Clamping is recoverable (retaining the whole

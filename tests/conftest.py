@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.clickstream.generator import ConsumerModel, ShopperConfig
+from repro.clickstream.models import PurchaseEncoding
 from repro.core.csr import CSRGraph
 from repro.core.graph import PreferenceGraph
 from repro.examples_data import figure1_graph, figure3_graph
@@ -68,3 +69,19 @@ def consumer_model_normalized() -> ConsumerModel:
         ShopperConfig(n_items=60, behavior="normalized", cluster_size=6),
         seed=321,
     )
+
+
+@pytest.fixture
+def encodings(monkeypatch):
+    """Records every clickstream encoding built while the test runs."""
+    calls = []
+    original = PurchaseEncoding.from_sessions.__func__
+
+    def counting(cls, sessions):
+        calls.append(1)
+        return original(cls, sessions)
+
+    monkeypatch.setattr(
+        PurchaseEncoding, "from_sessions", classmethod(counting)
+    )
+    return calls

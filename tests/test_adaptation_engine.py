@@ -1,7 +1,14 @@
 """Tests for the Data Adaptation Engine (Section 5.2 construction)."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.adaptation.engine import (
     AdaptationConfig,
     DataAdaptationEngine,
@@ -139,3 +146,54 @@ class TestEngineObject:
         s = stream((("b", "c"), "a"), ((), "b"), ((), "c"))
         graph = engine.build_graph(s)
         assert graph.edge_weight("a", "b") == pytest.approx(0.5)
+
+
+#: A stream whose click-only items outnumber its purchased ones, so the
+#: greedy must break ties among zero-weight items by graph order.
+_ORDER_SCRIPT = """
+import json
+import repro
+from repro.adaptation.engine import AdaptationConfig, DataAdaptationEngine
+from repro.adaptation.online import OnlineAdaptationEngine
+from repro.clickstream.models import Clickstream, Session
+
+sessions = [
+    Session(i, tuple(f"x{(3 * i + j) % 13}" for j in range(4)), f"p{i % 3}")
+    for i in range(12)
+]
+config = AdaptationConfig(include_unpurchased=True)
+batch = DataAdaptationEngine(config).build_graph(Clickstream(sessions))
+online = OnlineAdaptationEngine(config)
+online.observe_all(sessions)
+result = repro.solve(batch, variant="independent", k=5)
+print(json.dumps({
+    "batch": list(batch.items()),
+    "online": list(online.snapshot().items()),
+    "retained": list(result.retained),
+}))
+"""
+
+
+class TestItemOrder:
+    def test_click_only_items_in_first_click_order(self):
+        s = stream((("z", "y", "a"), "a"), (("y", "b", "x"), "b"))
+        graph = build_preference_graph(
+            s, "independent", include_unpurchased=True
+        )
+        assert list(graph.items()) == ["a", "b", "z", "y", "x"]
+
+    def test_order_independent_of_hash_seed(self):
+        source = str(Path(repro.__file__).resolve().parent.parent)
+        outputs = []
+        for seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=source)
+            done = subprocess.run(
+                [sys.executable, "-c", _ORDER_SCRIPT], env=env,
+                capture_output=True, text=True, check=True, timeout=120,
+            )
+            outputs.append(json.loads(done.stdout.splitlines()[-1]))
+        first = outputs[0]
+        assert first["online"] == first["batch"]
+        assert first["batch"][:3] == ["p0", "p1", "p2"]
+        assert first["batch"][3:] == [f"x{i}" for i in range(13)]
+        assert all(output == first for output in outputs[1:])

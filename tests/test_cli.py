@@ -130,6 +130,19 @@ class TestVersion:
         assert __version__ in capsys.readouterr().out
 
 
+class TestEncodeOnce:
+    def test_build_graph_auto(self, stream_file, tmp_path, encodings):
+        assert main([
+            "build-graph", str(stream_file), "--variant", "auto",
+            "-o", str(tmp_path / "graph.json"),
+        ]) == 0
+        assert len(encodings) == 1
+
+    def test_stats(self, stream_file, encodings, capsys):
+        assert main(["stats", "--clickstream", str(stream_file)]) == 0
+        assert len(encodings) == 1
+
+
 class TestPipelineCommand:
     def test_end_to_end(self, stream_file, tmp_path, capsys):
         out_path = tmp_path / "report.json"

@@ -1,5 +1,7 @@
 """Tests for clickstream serialization (JSONL and YooChoose CSV)."""
 
+import json
+
 import pytest
 
 from repro.clickstream.io import (
@@ -81,6 +83,43 @@ class TestJsonl:
         path.write_text('["not", "an", "object"]\n')
         with pytest.raises(ClickstreamFormatError, match="object"):
             read_jsonl(path)
+
+
+class TestJsonlDecoding:
+    """Rejected lines keep the ``json.loads`` message and reason tag."""
+
+    GOOD = '{"session_id": "s1", "clicks": ["a"], "purchase": "b"}'
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            (GOOD + " trailing", "invalid-json"),
+            (GOOD + GOOD, "invalid-json"),  # two objects on one line
+            ("\ufeff" + GOOD, "invalid-json"),  # UTF-8 BOM
+            ('["s1", ["a"], "b"]', "not-an-object"),
+            ('{"session_id": "s1", "clicks": ["a"]', "invalid-json"),
+            ("\x00garbled\x00" + GOOD[:8], "invalid-json"),
+        ],
+    )
+    def test_rejection_message_unchanged(self, tmp_path, line, reason):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(self.GOOD + "\n" + line + "\n", encoding="utf-8")
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            detail = f"invalid JSON: {exc}"
+        else:
+            detail = (
+                f"expected a JSON object per line, got "
+                f"{type(record).__name__}"
+            )
+        with pytest.raises(ClickstreamFormatError) as caught:
+            read_jsonl(path)
+        assert str(caught.value) == f"{path}:2: {detail}"
+        assert caught.value.reason == reason
+        lenient = read_jsonl(path, on_error="quarantine", error_budget=None)
+        assert lenient.quarantine.reasons == {reason: 1}
+        assert lenient.quarantine.samples == [f"{path}:2: {detail}"]
 
 
 class TestLenientJsonl:

@@ -96,6 +96,79 @@ class TestClickstream:
         assert "sessions=1" in repr(stream)
 
 
+class TestPurchaseEncoding:
+    @pytest.fixture
+    def stream(self):
+        return Clickstream(
+            [
+                Session("s1", ("x", "y", "x", "p"), purchase="p"),
+                Session("s2", ("q", "r")),  # browse-only: no row
+                Session("s3", (), purchase="x"),
+                Session("s4", ("y", 7, "p"), purchase=7),
+                Session("s5", ("p", "y"), purchase="x"),
+            ]
+        )
+
+    def test_codes_in_first_seen_order(self, stream):
+        encoding = stream.encoding()
+        assert encoding.items == ("p", "x", "y", 7)
+        assert encoding.purchase.tolist() == [0, 1, 3, 1]
+        assert encoding.offsets.tolist() == [0, 2, 2, 4, 6]
+        assert encoding.alternatives.tolist() == [1, 2, 2, 0, 0, 2]
+        assert encoding.n_purchases == 4
+        assert encoding.lengths().tolist() == [2, 0, 2, 2]
+        assert encoding.purchase_counts().tolist() == [1, 2, 0, 1]
+        assert encoding.first_purchase_order().tolist() == [0, 1, 3]
+
+    def test_rows_decode_to_session_alternatives(self, stream):
+        encoding = stream.encoding()
+        rows = [session for session in stream if session.has_purchase]
+        for row, session in enumerate(rows):
+            assert encoding.items[encoding.purchase[row]] == session.purchase
+            begin, end = encoding.offsets[row], encoding.offsets[row + 1]
+            assert tuple(
+                encoding.items[code]
+                for code in encoding.alternatives[begin:end]
+            ) == session.alternatives()
+
+    def test_pairs(self, stream):
+        pairs = stream.encoding().pairs()
+        # (source, target) sorted by code: p->x, p->y, x->p, x->y, 7->p, 7->y
+        assert pairs.source.tolist() == [0, 0, 1, 1, 3, 3]
+        assert pairs.target.tolist() == [1, 2, 0, 2, 0, 2]
+        assert pairs.support.tolist() == [1, 1, 1, 1, 1, 1]
+        assert pairs.first.tolist() == [0, 1, 4, 5, 3, 2]
+        assert pairs.entry_pair.tolist() == [0, 1, 5, 4, 2, 3]
+        assert stream.encoding().pairs() is pairs
+
+    def test_built_once_with_one_alternatives_call_per_row(
+        self, stream, monkeypatch
+    ):
+        calls = []
+        original = Session.alternatives
+
+        def counting(session):
+            calls.append(session.session_id)
+            return original(session)
+
+        monkeypatch.setattr(Session, "alternatives", counting)
+        encoding = stream.encoding()
+        assert stream.encoding() is encoding
+        assert calls == ["s1", "s3", "s4", "s5"]
+
+    def test_arrays_are_readonly(self, stream):
+        encoding = stream.encoding()
+        for array in (encoding.purchase, *encoding.pairs()):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_empty_and_browse_only(self):
+        for stream in (Clickstream([]), Clickstream([Session("s", ("a",))])):
+            encoding = stream.encoding()
+            assert encoding.n_purchases == 0
+            assert encoding.pairs().support.size == 0
+
+
 class TestSessionsFromDicts:
     def test_builds_sessions(self):
         stream = sessions_from_dicts(

@@ -65,6 +65,28 @@ class TestConstruction:
                 np.array([0.5]), items=["only-one"],
             )
 
+    @pytest.mark.parametrize(
+        "src, dst",
+        [
+            ([0, 1, 2, 3, 0], [1, 2, 3, 0, 1]),  # far apart in the input
+            ([2, 0, 1, 3, 2], [3, 1, 2, 0, 3]),  # first and last positions
+            ([1, 1], [0, 0]),  # adjacent
+        ],
+    )
+    def test_from_arrays_rejects_duplicate_edges(self, src, dst):
+        with pytest.raises(GraphValidationError, match="duplicate edges"):
+            CSRGraph.from_arrays(
+                np.full(4, 0.25), np.array(src), np.array(dst),
+                np.full(len(src), 0.5),
+            )
+
+    def test_from_arrays_accepts_reversed_pairs(self):
+        src = np.array([0, 1, 2, 3])
+        dst = np.array([1, 0, 3, 2])
+        g = CSRGraph.from_arrays(np.full(4, 0.25), src, dst, np.full(4, 0.5))
+        assert g.n_edges == 4
+        assert src.tolist() == [0, 1, 2, 3]  # inputs are not reordered
+
     def test_arrays_are_readonly(self, csr):
         with pytest.raises(ValueError):
             csr.node_weight[0] = 9.0

@@ -1,13 +1,25 @@
 """Fuzz tests: arbitrary session structures never break the adapters.
 
-Hypothesis generates unconstrained session shapes (any mix of clicks,
-repeated clicks, self-clicks, browse-only sessions) and asserts that the
-batch engine, the online engine and the variant selector either produce
-a *valid* preference graph or raise the documented
+Hypothesis generates unconstrained session shapes (any mix of int and
+str ids, repeated clicks, clicks on the purchased item, browse-only
+sessions, purchases without alternatives) and asserts that the batch
+engine, the online engine and the variant selector either produce a
+*valid* preference graph or raise the documented
 :class:`~repro.errors.AdaptationError` — never anything else.
+
+The second half pins the array implementations of ``normalized_fit``,
+``independence_score`` and ``DataAdaptationEngine.build_graph`` to the
+per-session loops below, which are the straightforward reading of the
+paper's Section 5.2 construction.  They must agree exactly: the same
+floats, the same item and edge order, the same tracer output and the
+same errors.
 """
 
 from __future__ import annotations
+
+import random
+from collections import Counter, defaultdict
+from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -15,10 +27,18 @@ from hypothesis import strategies as st
 
 from repro.adaptation.engine import AdaptationConfig, DataAdaptationEngine
 from repro.adaptation.online import OnlineAdaptationEngine
-from repro.adaptation.variant_selection import recommend_variant
+from repro.adaptation.variant_selection import (
+    _pair_nmi,
+    independence_score,
+    normalized_fit,
+    recommend_variant,
+)
 from repro.clickstream.models import Clickstream, Session
+from repro.core.graph import PreferenceGraph
 from repro.core.variants import Variant
 from repro.errors import AdaptationError
+from repro.observability import SolverTrace
+from repro.workloads.datasets import build_dataset
 
 SETTINGS = settings(
     max_examples=60,
@@ -26,25 +46,227 @@ SETTINGS = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-ITEM_IDS = st.sampled_from([f"item{i}" for i in range(8)])
+#: int and str ids; no bools, which would compare equal to 0 and 1.
+ITEM_IDS = st.one_of(
+    st.integers(min_value=0, max_value=7),
+    st.sampled_from([f"item{i}" for i in range(8)]),
+)
 
 
 @st.composite
-def sessions(draw):
-    clicks = draw(st.lists(ITEM_IDS, min_size=0, max_size=6))
-    purchase = draw(st.one_of(st.none(), ITEM_IDS))
-    return Session(
-        session_id=draw(st.uuids()).hex,
-        clicks=tuple(clicks),
-        purchase=purchase,
-    )
+def sessions(draw, session_id=0):
+    clicks = draw(st.lists(ITEM_IDS, min_size=0, max_size=12))
+    choices = [st.none(), ITEM_IDS]
+    if clicks:
+        choices.append(st.sampled_from(clicks))  # clicked its own purchase
+    purchase = draw(st.one_of(*choices))
+    return Session(session_id=session_id, clicks=tuple(clicks), purchase=purchase)
 
 
 @st.composite
-def clickstreams(draw):
-    return Clickstream(
-        draw(st.lists(sessions(), min_size=0, max_size=30))
+def clickstreams(draw, max_size=30):
+    n = draw(st.integers(min_value=0, max_value=max_size))
+    return Clickstream([draw(sessions(session_id=i)) for i in range(n)])
+
+
+# ----------------------------------------------------------------------
+# Reference implementations: one pass over the sessions, dicts keyed by
+# item id.  Click-only items are kept in first-click order.
+# ----------------------------------------------------------------------
+def reference_normalized_fit(clickstream):
+    total = 0
+    at_most_one = 0
+    for session in clickstream:
+        if session.purchase is None:
+            continue
+        total += 1
+        if len(session.alternatives()) <= 1:
+            at_most_one += 1
+    if total == 0:
+        raise AdaptationError("clickstream contains no purchasing sessions")
+    return at_most_one / total
+
+
+def reference_independence_score(
+    clickstream, *, min_purchases=5, max_pairs_per_item=50
+):
+    per_item_sessions = defaultdict(list)
+    purchase_counts = Counter()
+    for session in clickstream:
+        if session.purchase is None:
+            continue
+        purchase_counts[session.purchase] += 1
+        per_item_sessions[session.purchase].append(
+            frozenset(session.alternatives())
+        )
+
+    weighted_sum = 0.0
+    weight_total = 0.0
+    for item, session_sets in per_item_sessions.items():
+        if purchase_counts[item] < min_purchases:
+            continue
+        alternatives = sorted(
+            {alt for clicked in session_sets for alt in clicked}, key=repr
+        )
+        if len(alternatives) < 2:
+            continue
+        pair_values = []
+        for b, c in combinations(alternatives, 2):
+            n11 = n10 = n01 = n00 = 0
+            for clicked in session_sets:
+                b_in = b in clicked
+                c_in = c in clicked
+                if b_in and c_in:
+                    n11 += 1
+                elif b_in:
+                    n10 += 1
+                elif c_in:
+                    n01 += 1
+                else:
+                    n00 += 1
+            pair_values.append(_pair_nmi(n11, n10, n01, n00))
+            if len(pair_values) >= max_pairs_per_item:
+                break
+        if not pair_values:
+            continue
+        item_score = sum(pair_values) / len(pair_values)
+        weighted_sum += purchase_counts[item] * item_score
+        weight_total += purchase_counts[item]
+
+    if weight_total == 0.0:
+        return None
+    return weighted_sum / weight_total
+
+
+def reference_build_graph(config, clickstream, tracer=None):
+    purchase_counts = Counter()
+    click_mass = defaultdict(float)
+    session_support = Counter()
+    click_only_items = {}
+    n_sessions = 0
+
+    for session in clickstream:
+        n_sessions += 1
+        if session.purchase is None:
+            continue
+        desired = session.purchase
+        purchase_counts[desired] += 1
+        alternatives = session.alternatives()
+        if not alternatives:
+            continue
+        if config.variant is Variant.NORMALIZED:
+            weight = 1.0 / len(alternatives)
+        else:
+            weight = 1.0
+        for clicked in alternatives:
+            click_mass[(desired, clicked)] += weight
+            session_support[(desired, clicked)] += 1
+            click_only_items[clicked] = None
+
+    total_purchases = sum(purchase_counts.values())
+    if total_purchases == 0:
+        raise AdaptationError(
+            "clickstream contains no purchasing sessions; cannot "
+            "estimate item popularity"
+        )
+
+    graph = PreferenceGraph()
+    for item, count in purchase_counts.items():
+        graph.add_item(item, count / total_purchases)
+    if config.include_unpurchased:
+        for item in click_only_items:
+            if item not in graph:
+                graph.add_item(item, 0.0)
+
+    edges_kept = 0
+    for (desired, clicked), mass in click_mass.items():
+        if clicked not in graph or desired not in graph:
+            continue
+        if session_support[(desired, clicked)] < config.min_edge_sessions:
+            continue
+        weight = config.correction_factor * mass / (
+            purchase_counts[desired] + config.laplace_alpha
+        )
+        if weight <= config.min_edge_weight:
+            continue
+        graph.add_edge(desired, clicked, min(weight, 1.0))
+        edges_kept += 1
+    if tracer is not None:
+        tracer.incr("adaptation.sessions", n_sessions)
+        tracer.incr("adaptation.purchasing_sessions", total_purchases)
+        tracer.incr("adaptation.candidate_edges", len(click_mass))
+        tracer.incr("adaptation.edges_kept", edges_kept)
+        tracer.incr("adaptation.items", graph.n_items)
+        tracer.event(
+            "adaptation.graph_built", items=graph.n_items,
+            edges=edges_kept, sessions=n_sessions,
+            purchasing_sessions=total_purchases,
+        )
+    return graph
+
+
+# ----------------------------------------------------------------------
+# Exact-agreement helpers
+# ----------------------------------------------------------------------
+def graph_layout(graph):
+    """Item order, node weights and edge order on both adjacency sides."""
+    return (
+        [(item, graph.node_weight(item)) for item in graph.items()],
+        [(item, list(graph._out[item].items())) for item in graph.items()],
+        [(item, list(graph._in[item].items())) for item in graph.items()],
+        graph.n_edges,
     )
+
+
+def tracer_output(tracer):
+    return (
+        [(event.kind, event.data) for event in tracer.events],
+        tracer.metrics.snapshot()["counters"],
+    )
+
+
+def outcome(fn, *args, **kwargs):
+    """``("ok", value)`` or ``("error", type, message)``."""
+    try:
+        return ("ok", fn(*args, **kwargs))
+    except AdaptationError as exc:
+        return ("error", type(exc), str(exc))
+
+
+def assert_build_matches(config, stream):
+    reference_tracer, tracer = SolverTrace(), SolverTrace()
+    expected = outcome(reference_build_graph, config, stream, reference_tracer)
+    got = outcome(
+        DataAdaptationEngine(config).build_graph, stream, tracer=tracer
+    )
+    if expected[0] == "ok":
+        assert got[0] == "ok"
+        assert graph_layout(got[1]) == graph_layout(expected[1])
+    else:
+        assert got == expected
+    assert tracer_output(tracer) == tracer_output(reference_tracer)
+
+
+def assert_fitness_matches(stream, **kwargs):
+    assert outcome(normalized_fit, stream) == outcome(
+        reference_normalized_fit, stream
+    )
+    assert independence_score(stream, **kwargs) == (
+        reference_independence_score(stream, **kwargs)
+    )
+
+
+CONFIGS = (
+    {},
+    {"include_unpurchased": True},
+    {"min_edge_sessions": 2},
+    {"min_edge_weight": 0.3},
+    {"correction_factor": 0.7},
+    {"laplace_alpha": 1.5},
+    {"include_unpurchased": True, "min_edge_sessions": 2,
+     "min_edge_weight": 0.05, "correction_factor": 0.9,
+     "laplace_alpha": 0.5},
+)
 
 
 class TestFuzzBatchEngine:
@@ -76,9 +298,13 @@ class TestFuzzBatchEngine:
 
 class TestFuzzOnlineEngine:
     @SETTINGS
-    @given(clickstreams(), st.sampled_from(list(Variant)))
-    def test_online_equals_batch(self, stream, variant):
-        config = AdaptationConfig(variant=variant)
+    @given(
+        clickstreams(),
+        st.sampled_from(list(Variant)),
+        st.sampled_from(CONFIGS),
+    )
+    def test_online_equals_batch(self, stream, variant, options):
+        config = AdaptationConfig(variant=variant, **options)
         online = OnlineAdaptationEngine(config)
         online.observe_all(stream)
         batch_error = online_error = None
@@ -92,8 +318,8 @@ class TestFuzzOnlineEngine:
             online_error = exc
         assert (batch_error is None) == (online_error is None)
         if batch_error is None:
-            assert set(snapshot.items()) == set(batch.items())
-            assert sorted(snapshot.edges()) == sorted(batch.edges())
+            assert list(snapshot.items()) == list(batch.items())
+            assert list(snapshot.edges()) == list(batch.edges())
 
 
 class TestFuzzVariantSelection:
@@ -111,3 +337,107 @@ class TestFuzzVariantSelection:
         assert 0.0 <= recommendation.normalized_fit <= 1.0
         if recommendation.independence_score is not None:
             assert 0.0 <= recommendation.independence_score <= 1.0
+
+
+# ----------------------------------------------------------------------
+# The array implementations agree exactly with the references
+# ----------------------------------------------------------------------
+def wide_stream(seed, *, n_sessions=60, n_alternatives=16):
+    """Streams whose hub items have more than 11 alternatives.
+
+    Twelve alternatives already give 66 pairs, so the default cap of 50
+    pairs per item binds.  Alternatives are clicked before some are
+    first purchased, so code order and purchase order differ.
+    """
+    rng = random.Random(seed)
+    pool = [f"alt{i}" for i in range(n_alternatives)] + list(range(6))
+    hubs = ["hub", 7, "alt3"]
+    sessions = []
+    for i in range(n_sessions):
+        purchase = rng.choice(hubs + [None])
+        clicks = [rng.choice(pool) for _ in range(rng.randint(0, 9))]
+        if purchase is not None and rng.random() < 0.2:
+            clicks.append(purchase)
+        sessions.append(Session(i, tuple(clicks), purchase))
+    return Clickstream(sessions)
+
+
+class TestArrayImplementationsMatchReference:
+    @SETTINGS
+    @given(
+        clickstreams(max_size=60),
+        st.sampled_from([1, 2, 5]),
+        st.sampled_from([1, 3, 50]),
+    )
+    def test_fitness_tests(self, stream, min_purchases, max_pairs):
+        assert_fitness_matches(
+            stream, min_purchases=min_purchases,
+            max_pairs_per_item=max_pairs,
+        )
+
+    @SETTINGS
+    @given(
+        clickstreams(max_size=60),
+        st.sampled_from(list(Variant)),
+        st.sampled_from(CONFIGS),
+    )
+    def test_build_graph(self, stream, variant, options):
+        assert_build_matches(AdaptationConfig(variant=variant, **options), stream)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("max_pairs", [0, 1, 3, 50])
+    def test_wide_items_hit_the_pair_cap(self, seed, max_pairs):
+        stream = wide_stream(seed)
+        alternatives = {
+            alt for session in stream if session.purchase == "hub"
+            for alt in session.alternatives()
+        }
+        assert len(alternatives) * (len(alternatives) - 1) // 2 > 50
+        for min_purchases in (1, 5):
+            assert_fitness_matches(
+                stream, min_purchases=min_purchases,
+                max_pairs_per_item=max_pairs,
+            )
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("options", CONFIGS)
+    def test_wide_build_graph(self, variant, options):
+        for seed in range(3):
+            assert_build_matches(
+                AdaptationConfig(variant=variant, **options), wide_stream(seed)
+            )
+
+    def test_no_purchases(self):
+        stream = Clickstream([Session(0, ("a", "b")), Session(1, ())])
+        assert_fitness_matches(stream)
+        for variant in Variant:
+            assert_build_matches(AdaptationConfig(variant=variant), stream)
+        assert_build_matches(AdaptationConfig(), Clickstream([]))
+
+
+@pytest.fixture(scope="module", params=["PE", "YC"])
+def dataset_stream(request):
+    stream, _model = build_dataset(request.param, scale=0.005, seed=3)
+    return stream
+
+
+class TestDatasetsMatchReference:
+    def test_fitness_tests(self, dataset_stream):
+        assert_fitness_matches(dataset_stream)
+        assert_fitness_matches(dataset_stream, max_pairs_per_item=3)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("options", CONFIGS)
+    def test_build_graph(self, dataset_stream, variant, options):
+        assert_build_matches(
+            AdaptationConfig(variant=variant, **options), dataset_stream
+        )
+
+    def test_recommendation_uses_both_fitness_tests(self, dataset_stream):
+        recommendation = recommend_variant(dataset_stream)
+        assert recommendation.normalized_fit == reference_normalized_fit(
+            dataset_stream
+        )
+        assert recommendation.independence_score == (
+            reference_independence_score(dataset_stream)
+        )

@@ -1,8 +1,12 @@
 """Tests for the end-to-end InventoryReducer (Figure 2 architecture)."""
 
+import warnings
+
 import pytest
 
 from repro.clickstream.generator import ConsumerModel, ShopperConfig
+from repro.clickstream.models import Clickstream
+from repro.core.csr import CSRGraph
 from repro.core.variants import Variant
 from repro.errors import SolverError
 from repro.pipeline import InventoryReducer
@@ -79,6 +83,30 @@ class TestRun:
         report = reducer.run(independent_stream)
         assert report.k_clamped_from is None
         assert "clamped" not in report.summary()
+
+    @pytest.mark.parametrize("k", [10, 10_000])
+    def test_one_csr_conversion_per_run(self, independent_stream, monkeypatch, k):
+        calls = []
+        original = CSRGraph.from_preference_graph.__func__
+
+        def counting(cls, graph):
+            calls.append(graph)
+            return original(cls, graph)
+
+        monkeypatch.setattr(
+            CSRGraph, "from_preference_graph", classmethod(counting)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # k clamp
+            report = InventoryReducer(k=k).run(independent_stream)
+        assert len(calls) == 1
+        assert calls[0] is report.graph
+
+    def test_stream_encoded_once_per_run(self, independent_stream, encodings):
+        stream = Clickstream(list(independent_stream))
+        report = InventoryReducer(k=10).run(stream)
+        assert report.recommendation is not None
+        assert len(encodings) == 1
 
     def test_fixed_variant_skips_recommendation(self, independent_stream):
         reducer = InventoryReducer(k=10, variant="independent")
