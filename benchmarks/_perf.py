@@ -1,32 +1,31 @@
-"""Timing primitives and the ``BENCH_core.json`` trajectory file.
+"""Timing primitives and the append-only trajectory file format.
 
-The perf-regression harness (``bench_kernels.py``) measures each series
-as the *median* of several repeats — medians are robust to the one-off
+The serving perf harness (``bench_serving.py``) measures each series as
+the *median* of several repeats — medians are robust to the one-off
 scheduler hiccups that plague shared CI runners — and records them in a
 machine-readable trajectory file at the repository root.  Every run
 *appends* an entry, so the file accumulates a perf history across PRs
 that future changes can be diffed against.
 
-Schema (``BENCH_core.json``)::
+Schema (``BENCH_serve.json``, ``repro-bench-serve/1``)::
 
     {
-      "schema": "repro-bench-core/1",
+      "schema": "repro-bench-serve/1",
       "runs": [
         {
           "created_at": "2026-08-06T12:00:00Z",
           "label": "...", "smoke": false,
-          "host": {"python": "3.11.7", "cpus": 1,
-                   "kernel_backends": ["numpy"]},
-          "sizes": {"small": {"n_items": ..., "n_edges": ...},
+          "host": {"python": "3.11.7", "cpus": 2, "machine": "x86_64"},
+          "sizes": {"small": {"n_items": ..., "n_edges": ..., "k": ...},
                     "large": {...}},
-          "series": {"batch_gain.numpy.small":
+          "series": {"cold_solve.small":
                          {"median_s": ..., "repeats": 5}, ...}
         }
       ]
     }
 
 The newest run is last.  Consumers should key on ``series`` names, which
-follow ``<metric>.<backend-or-strategy>.<size>``.
+follow ``<metric>.<size>``.
 """
 
 from __future__ import annotations
@@ -37,12 +36,7 @@ import platform
 import time
 from pathlib import Path
 from statistics import median
-from typing import Callable, Dict, List, Optional
-
-#: Trajectory file at the repository root.
-BENCH_CORE_PATH = Path(__file__).resolve().parent.parent / "BENCH_core.json"
-
-SCHEMA = "repro-bench-core/1"
+from typing import Callable, Dict, List
 
 
 def time_median(
@@ -54,8 +48,7 @@ def time_median(
     """Median wall-clock seconds of ``fn()`` over ``repeats`` runs.
 
     ``warmup`` uncounted calls absorb one-time costs (page faults,
-    JIT compilation for compiled kernel backends) so the medians
-    measure steady state.
+    first-touch allocations) so the medians measure steady state.
     """
     for _ in range(warmup):
         fn()
@@ -72,26 +65,21 @@ def time_median(
     }
 
 
-def host_fingerprint(kernel_backends) -> Dict:
+def host_fingerprint() -> Dict:
     """Environment details recorded next to every run."""
     return {
         "python": platform.python_version(),
         "cpus": os.cpu_count() or 1,
         "machine": platform.machine(),
-        "kernel_backends": list(kernel_backends),
     }
 
 
-def load_trajectory(
-    path: Optional[Path] = None, *, schema: str = SCHEMA
-) -> Dict:
+def load_trajectory(path: Path, *, schema: str) -> Dict:
     """Read a trajectory file, or an empty skeleton when absent.
 
-    ``schema`` selects which trajectory family the file must belong to
-    (``repro-bench-core/1`` for the kernel harness, ``repro-bench-serve/1``
-    for the serving harness); a mismatch is an error, not a silent reset.
+    ``schema`` names the trajectory family the file must belong to; a
+    mismatch is an error, not a silent reset.
     """
-    path = path or BENCH_CORE_PATH
     if not path.exists():
         return {"schema": schema, "runs": []}
     with open(path, "r", encoding="utf-8") as handle:
@@ -107,20 +95,18 @@ def append_run(
     series: Dict[str, Dict],
     *,
     sizes: Dict[str, Dict],
-    kernel_backends,
+    path: Path,
+    schema: str,
     label: str = "",
     smoke: bool = False,
-    path: Optional[Path] = None,
-    schema: str = SCHEMA,
 ) -> Dict:
     """Append one run to the trajectory file and return the run row."""
-    path = path or BENCH_CORE_PATH
     data = load_trajectory(path, schema=schema)
     run = {
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "label": label,
         "smoke": bool(smoke),
-        "host": host_fingerprint(kernel_backends),
+        "host": host_fingerprint(),
         "sizes": sizes,
         "series": series,
     }

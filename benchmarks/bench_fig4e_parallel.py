@@ -1,24 +1,18 @@
 """Figure 4e: parallelizability of Greedy across cores {1, 4, 8, 16, 32}.
 
 The paper measures near-perfect scaling (about 20x on 32 cores) on a
-32-core server.  This container has one core, so the figure is
+32-core server.  The reproduction host has 2 CPUs, so the figure is
 reproduced with the calibrated work-span cost model of
 ``repro.core.parallel`` (DESIGN.md, substitution 3): per-iteration work
 is counted exactly from the naive strategy's execution, the per-op cost
 is measured on this host, and the paper's ``O(k + nkD/N)`` bound is
-applied.  The real process-pool executor is additionally validated to
-produce bit-identical selections to the serial run.
+applied.
 """
 
 import pytest
 
 from _reporting import register_report
-from repro.core.greedy import greedy_solve
-from repro.core.parallel import (
-    ParallelGainEvaluator,
-    calibrate_cost_model,
-    speedup_curve,
-)
+from repro.core.parallel import calibrate_cost_model, speedup_curve
 from repro.evaluation.metrics import format_table
 from repro.workloads.graphs import random_preference_graph
 
@@ -51,7 +45,7 @@ def test_fig4e_parallel_speedup_model(benchmark, graph):
         display,
         title=(
             f"Figure 4e: parallelizability (work-span cost model, "
-            f"n={N_ITEMS}, k={K}; single-core host — see DESIGN.md "
+            f"n={N_ITEMS}, k={K}; 2-CPU host — see DESIGN.md "
             f"substitution 3)"
         ),
     )
@@ -66,18 +60,3 @@ def test_fig4e_parallel_speedup_model(benchmark, graph):
     speedups = [row["speedup"] for row in rows]
     assert speedups == sorted(speedups)
 
-
-def test_fig4e_process_pool_correctness(benchmark, graph):
-    """The real executor returns the exact serial selection."""
-    serial = greedy_solve(graph, k=20, variant="independent", strategy="naive")
-
-    def run_parallel():
-        with ParallelGainEvaluator(graph, "independent", n_workers=2) as pool:
-            return greedy_solve(
-                graph, k=20, variant="independent", strategy="naive",
-                parallel=pool
-            )
-
-    parallel = benchmark.pedantic(run_parallel, rounds=1, iterations=1)
-    assert parallel.retained == serial.retained
-    assert parallel.cover == pytest.approx(serial.cover, abs=1e-12)

@@ -33,7 +33,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -185,7 +184,6 @@ def run_benchmarks(args) -> dict:
     append_run(
         series,
         sizes=size_meta,
-        kernel_backends=["numpy"],
         label=args.label,
         smoke=args.smoke,
         path=args.out,

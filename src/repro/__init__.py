@@ -24,15 +24,11 @@ from .core import (
     CSRGraph,
     GreedyState,
     INDEPENDENT,
-    KernelBackend,
     NORMALIZED,
-    ParallelGainEvaluator,
     PreferenceGraph,
     SolveResult,
     Variant,
     as_csr,
-    available_backends,
-    get_kernels,
     brute_force_solve,
     cover,
     coverage_vector,
@@ -96,11 +92,9 @@ __all__ = [
     "GraphValidationError",
     "GreedyState",
     "INDEPENDENT",
-    "KernelBackend",
     "MetricsRegistry",
     "NORMALIZED",
     "NullTracer",
-    "ParallelGainEvaluator",
     "PreferenceGraph",
     "ReproError",
     "ServingError",
@@ -115,11 +109,9 @@ __all__ = [
     "Variant",
     "VariantError",
     "as_csr",
-    "available_backends",
     "brute_force_solve",
     "cover",
     "coverage_vector",
-    "get_kernels",
     "greedy_order",
     "greedy_solve",
     "greedy_threshold_solve",

@@ -10,9 +10,9 @@ Commands mirror the system architecture:
   (fixed ``k`` or coverage ``--threshold``).
 * ``pipeline``    — the end-to-end Figure 2 flow from a clickstream file.
 * ``stats``       — dataset/graph statistics (Table 2-style).
-* ``check``       — correctness harnesses; ``--differential`` proves all
-  strategy x backend combinations select identical sets on random
-  instances, ``--resilience`` proves killed+resumed solves match clean
+* ``check``       — correctness harnesses; ``--differential`` proves the
+  greedy strategies and the threshold solver select identical sets on
+  random instances, ``--resilience`` proves killed+resumed solves match clean
   ones, ``--serving`` proves served answers equal offline recomputation,
   ``--fuzz`` runs the metamorphic fuzzer (adversarial instances checked
   against the invariant registry, failures shrunk to replayable JSON
@@ -146,9 +146,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         strategy=args.strategy,
         constraints=constraints or None,
         tracer=tracer,
-        workers=args.workers,
-        parallel_backend=args.parallel_backend,
-        kernels=args.kernels,
         checkpoint=checkpoint,
         guard=guard,
     )
@@ -499,9 +496,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         report = run_differential(
             instances=d_instances,
             max_items=d_max_items,
-            workers=args.workers,
             seed=args.seed,
-            kernels=args.kernels,
             log=print if args.verbose else None,
         )
         print(report.summary())
@@ -518,7 +513,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         report = run_resilience_differential(
             instances=r_instances,
             max_items=r_max_items,
-            workers=args.workers,
             seed=args.seed,
             log=print if args.verbose else None,
         )
@@ -665,19 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve_cmd.add_argument("-k", type=int, default=None)
     solve_cmd.add_argument("--threshold", type=float, default=None)
     solve_cmd.add_argument("--strategy", default="auto")
-    solve_cmd.add_argument("--workers", type=int, default=None,
-                           help="worker processes for gain evaluation "
-                                "(naive k solves and threshold solves)")
-    solve_cmd.add_argument("--parallel-backend",
-                           choices=["auto", "shm", "pipe", "serial"],
-                           default="auto",
-                           help="worker wire protocol (auto prefers "
-                                "shared memory)")
-    solve_cmd.add_argument("--kernels",
-                           choices=["auto", "numpy", "numba"],
-                           default=None,
-                           help="arithmetic backend for the solver hot "
-                                "loops (default: REPRO_KERNELS or auto)")
     solve_cmd.add_argument("--must-retain", nargs="*", default=[],
                            help="items that must stay in the assortment")
     solve_cmd.add_argument("--exclude", nargs="*", default=[],
@@ -754,7 +735,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser(
         "check",
-        help="correctness harnesses (differential strategy x backend)",
+        help="correctness harnesses (differential strategies, "
+             "resilience, serving, fuzz)",
     )
     check.add_argument("--differential", action="store_true",
                        help="run the differential correctness harness")
@@ -793,13 +775,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--max-items", type=int, default=None,
                        help="largest instance size "
                             "(default: 140, or 60 with --smoke)")
-    check.add_argument("--workers", type=int, default=2,
-                       help="worker processes per parallel pool")
     check.add_argument("--seed", type=int, default=0)
-    check.add_argument("--kernels",
-                       choices=["auto", "numpy", "numba"],
-                       default=None,
-                       help="kernel backend forwarded to every solver")
     check.add_argument("--verbose", action="store_true",
                        help="print one progress line per instance")
     check.set_defaults(func=_cmd_check)

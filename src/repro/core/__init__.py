@@ -15,18 +15,7 @@ from .csr import CSRGraph, as_csr
 from .gain import GreedyState
 from .graph import PreferenceGraph
 from .greedy import STRATEGIES, greedy_order, greedy_solve
-from .kernels import (
-    KERNEL_CHOICES,
-    KernelBackend,
-    available_backends,
-    get_kernels,
-)
-from .parallel import (
-    ParallelCostModel,
-    ParallelGainEvaluator,
-    calibrate_cost_model,
-    speedup_curve,
-)
+from .parallel import ParallelCostModel, calibrate_cost_model, speedup_curve
 from .result import SolveResult
 from .stats import GraphStats, gini_coefficient, graph_stats
 from .submodular import (
@@ -42,20 +31,15 @@ __all__ = [
     "CSRGraph",
     "GreedyState",
     "INDEPENDENT",
-    "KERNEL_CHOICES",
-    "KernelBackend",
     "NORMALIZED",
     "ONE_MINUS_INV_E",
     "ParallelCostModel",
-    "ParallelGainEvaluator",
     "PreferenceGraph",
     "STRATEGIES",
     "GraphStats",
     "SolveResult",
     "Variant",
     "as_csr",
-    "available_backends",
-    "get_kernels",
     "brute_force_solve",
     "calibrate_cost_model",
     "check_monotone",

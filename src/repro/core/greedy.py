@@ -8,22 +8,16 @@ in :mod:`repro.core.gain`) — and carries the guarantees proved in the
 paper: ``1 - 1/e`` for the Independent variant (tight), and
 ``max(1 - 1/e, 1 - (1 - k/n)^2)`` for the Normalized variant.
 
-Three execution strategies produce the same selection rule with different
+Two execution strategies produce the same selection rule with different
 costs:
 
 ``naive``
     Recomputes every candidate's gain each iteration — a vectorized
-    transliteration of Algorithm 1, ``O(k * E)`` work.  This is the
-    strategy whose per-candidate independence the paper exploits for
-    parallelization (see :mod:`repro.core.parallel`).
+    transliteration of Algorithm 1, ``O(k * E)`` work.  It is the
+    reference the other paths are checked against, and the work that
+    :mod:`repro.core.parallel`'s cost model spreads over ``N`` workers.
 
-``lazy``
-    CELF lazy evaluation: submodularity makes stale gains upper bounds,
-    so candidates are kept in a max-heap and only re-evaluated when they
-    reach the top.  Typically evaluates a tiny fraction of ``n * k``
-    gains.
-
-``accelerated``
+``accelerated`` (the default)
     Maintains the full gain array incrementally: adding ``v*`` only
     changes the gains of nodes within two hops, so each iteration costs
     ``O(out_deg(v*) + sum over in-neighbors' out-degrees)`` (Independent)
@@ -33,14 +27,13 @@ costs:
     block whose cached maximum it finds stale on the way (see
     :class:`AcceleratedGains`), in place of a full ``O(n)`` ``argmax``.
 
-All strategies implement the identical mathematical rule (max gain,
+Both strategies implement the identical mathematical rule (max gain,
 lowest index on ties); their outputs can differ only through
 floating-point summation order on near-exact ties.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
 from typing import Callable, Iterable, Optional
@@ -50,13 +43,13 @@ import numpy as np
 from .._compat import keyword_only_shim
 from ..errors import SolverError, SolverInterrupted
 from ..observability import NULL_TRACER, coerce_tracer
-from .csr import CSRGraph, as_csr
-from .gain import GreedyState
+from .csr import as_csr
+from .gain import GreedyState, fanout_update
 from .result import SolveResult
 from .variants import Variant
 
 #: Recognized strategy names; ``auto`` resolves to ``accelerated``.
-STRATEGIES = ("auto", "naive", "lazy", "accelerated")
+STRATEGIES = ("auto", "naive", "accelerated")
 
 #: Optional per-iteration hook: ``callback(iteration, node, gain, cover)``.
 IterationCallback = Callable[[int, int, float, float], None]
@@ -163,12 +156,10 @@ def greedy_solve(
     k: int,
     variant: "Variant | str",
     strategy: str = "auto",
-    parallel: Optional["ParallelGainEvaluator"] = None,  # noqa: F821
     callback: Optional[IterationCallback] = None,
     must_retain: Optional[Iterable] = None,
     exclude: Optional[Iterable] = None,
     tracer=None,
-    kernels=None,
     checkpoint=None,
     guard=None,
 ) -> SolveResult:
@@ -178,10 +169,7 @@ def greedy_solve(
         graph: a ``PreferenceGraph`` or ``CSRGraph``.
         k: number of items to retain (``0 <= k <= n``).
         variant: ``"independent"`` or ``"normalized"`` (or a ``Variant``).
-        strategy: one of ``auto``, ``naive``, ``lazy``, ``accelerated``.
-        parallel: a :class:`repro.core.parallel.ParallelGainEvaluator` to
-            spread naive-strategy gain evaluation across worker processes
-            (only consulted by the naive strategy).
+        strategy: one of ``auto``, ``naive``, ``accelerated``.
         callback: optional per-iteration progress hook.
         must_retain: items that are retained unconditionally (contractual
             listings, store-brand products).  They occupy the first
@@ -192,12 +180,6 @@ def greedy_solve(
             ``iteration`` event per selection with the chosen item, its
             marginal gain, the running cover and per-strategy counters.
             ``None`` (the default) disables tracing at ~zero cost.
-        kernels: arithmetic backend for the hot loops — a
-            :class:`repro.core.kernels.KernelBackend`, a backend name
-            (``"numpy"`` / ``"numba"`` / ``"auto"``), or ``None`` to
-            consult the ``REPRO_KERNELS`` environment variable.  All
-            backends produce identical selections; see
-            ``docs/performance.md``.
         checkpoint: a :class:`repro.resilience.Checkpointer` (or a
             checkpoint directory path) enabling periodic atomic
             snapshots of the greedy prefix.  When the checkpointer has
@@ -230,7 +212,7 @@ def greedy_solve(
     variant = Variant.coerce(variant)
     csr = as_csr(graph)
     n = csr.n_items
-    if not isinstance(k, (int, np.integer)):
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
         raise SolverError(f"k must be an integer, got {type(k).__name__}")
     if k < 0 or k > n:
         raise SolverError(f"k={k} out of range [0, {n}]")
@@ -267,7 +249,7 @@ def greedy_solve(
             f"items"
         )
 
-    state = GreedyState(csr, variant, tracer=tracer, kernels=kernels)
+    state = GreedyState(csr, variant, tracer=tracer)
     prefix_covers = np.zeros(k + 1, dtype=np.float64)
     if tracer.enabled:
         tracer.event(
@@ -315,11 +297,6 @@ def greedy_solve(
 
     if strategy == "naive":
         evaluations, stop_reason = _run_naive(
-            state, remaining, prefix_covers, parallel, callback,
-            forbidden=forbidden, tracer=tracer, hooks=hooks,
-        )
-    elif strategy == "lazy":
-        evaluations, stop_reason = _run_lazy(
             state, remaining, prefix_covers, callback, forbidden=forbidden,
             tracer=tracer, hooks=hooks,
         )
@@ -373,7 +350,6 @@ def greedy_order(
     variant: "Variant | str",
     strategy: str = "auto",
     tracer=None,
-    kernels=None,
 ) -> SolveResult:
     """Run the greedy to exhaustion (``k = n``).
 
@@ -383,7 +359,7 @@ def greedy_order(
     csr = as_csr(graph)
     return greedy_solve(
         csr, k=csr.n_items, variant=variant, strategy=strategy,
-        tracer=tracer, kernels=kernels,
+        tracer=tracer,
     )
 
 
@@ -394,7 +370,6 @@ def _run_naive(
     state: GreedyState,
     k: int,
     prefix_covers: np.ndarray,
-    parallel,
     callback: Optional[IterationCallback],
     forbidden: Optional[np.ndarray] = None,
     tracer=NULL_TRACER,
@@ -408,10 +383,7 @@ def _run_naive(
     n = state.csr.n_items
     evaluations = 0
     for iteration in range(k):
-        if parallel is not None:
-            gains = parallel.gains(state)
-        else:
-            gains = state.gains_all()
+        gains = state.gains_all()
         evaluations += n - state.size
         gains[state.in_set] = -np.inf
         if forbidden is not None:
@@ -428,80 +400,6 @@ def _run_naive(
                 iteration, item=state.csr.items[best], node=best,
                 gain=gain, cover=float(state.cover), strategy="naive",
                 gains_evaluated=n - state.size + 1,
-            )
-        if hooks is not None:
-            reason = hooks.after_round(state)
-            if reason is not None:
-                return evaluations, reason
-    return evaluations, None
-
-
-def _run_lazy(
-    state: GreedyState,
-    k: int,
-    prefix_covers: np.ndarray,
-    callback: Optional[IterationCallback],
-    forbidden: Optional[np.ndarray] = None,
-    tracer=NULL_TRACER,
-    hooks: Optional[_RoundHooks] = None,
-) -> tuple:
-    """CELF lazy greedy.
-
-    Heap entries are ``(-gain, node)``; ``last_eval[node]`` records the
-    retained-set size at which that gain was computed.  A popped entry
-    whose gain is current is selected immediately; otherwise it is
-    re-evaluated and pushed back — valid because submodularity guarantees
-    gains never increase as the set grows.
-    """
-    n = state.csr.n_items
-    initial = state.gains_all()
-    evaluations = n
-    heap = [
-        (-float(initial[v]), v)
-        for v in range(n)
-        if not state.in_set[v]
-        and (forbidden is None or not forbidden[v])
-    ]
-    heapq.heapify(heap)
-    # Set size at evaluation time; seeds make size > 0 initially.
-    last_eval = np.full(n, state.size, dtype=np.int64)
-    # The pop/re-evaluate loop below is the CELF hot path: on large
-    # instances it runs orders of magnitude more often than the outer
-    # selection loop, so the per-iteration constants — the bound methods,
-    # the heap primitives and the tracing flag — are hoisted to locals.
-    heappop = heapq.heappop
-    heappush = heapq.heappush
-    fresh_gain = state.gain
-    tracing = tracer is not NULL_TRACER and tracer.enabled
-
-    for iteration in range(k):
-        heap_pops = 0
-        reevaluations = 0
-        size = state.size
-        while True:
-            entry = heappop(heap)
-            heap_pops += 1
-            v = entry[1]
-            if last_eval[v] == size:
-                break
-            fresh = fresh_gain(v)
-            reevaluations += 1
-            last_eval[v] = size
-            heappush(heap, (-fresh, v))
-        evaluations += reevaluations
-        gain = -entry[0]
-        state.add_node(v)
-        prefix_covers[state.size] = state.cover
-        if callback is not None:
-            callback(iteration, v, gain, state.cover)
-        if tracing:
-            tracer.incr("lazy.heap_pops", heap_pops)
-            tracer.incr("lazy.reevaluations", reevaluations)
-            tracer.observe("lazy.reevaluations_per_iteration", reevaluations)
-            tracer.iteration(
-                iteration, item=state.csr.items[v], node=int(v),
-                gain=gain, cover=float(state.cover), strategy="lazy",
-                heap_pops=heap_pops, reevaluations=reevaluations,
             )
         if hooks is not None:
             reason = hooks.after_round(state)
@@ -621,13 +519,10 @@ def accelerated_step(
             delta = u_weights * u_deficit_before  # deficit reduction
             np.add.at(values, u_nodes, -delta)  # self terms
             # Contributions to every out-neighbor x of each u: the
-            # two-hop scatter is the widest part of the patch, so it is
-            # delegated to the kernel backend.
-            fanout = int(
-                state.kernels.fanout_update(
-                    values, u_nodes, delta,
-                    csr.out_ptr, csr.out_dst, csr.out_weight,
-                )
+            # two-hop scatter, the widest part of the patch.
+            fanout = fanout_update(
+                values, u_nodes, delta,
+                csr.out_ptr, csr.out_dst, csr.out_weight,
             )
         else:
             delta = u_weights * csr.node_weight[u_nodes]

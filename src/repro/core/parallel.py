@@ -1,902 +1,30 @@
-"""Parallel gain evaluation and the work-span parallel cost model.
+"""The work-span parallel cost model behind Figure 4e.
 
 The paper (Performance Analysis, Sections 3.2 and 4.2) observes that the
 greedy algorithm's per-iteration gain computations are independent across
 candidates, giving a parallel complexity of ``O(k + n*k*D / N)`` for ``N``
-workers.  This module provides both halves of that story:
-
-* :class:`ParallelGainEvaluator` — a supervised process-pool executor
-  with two wire protocols:
-
-  ``shm`` (default where available)
-      Workers are forked once and communicate through
-      ``multiprocessing.shared_memory`` buffers: the parent publishes the
-      solver state (``in_set``, ``deficit``) into shared arrays with two
-      ``memcpy``-speed copies, each worker computes its candidate block's
-      gains straight into a shared output array, and the pipes carry only
-      a few control bytes per round.  Per-iteration communication is
-      O(1) pickled payload instead of O(n) pickled floats per worker.
-
-  ``pipe`` (fallback)
-      Each worker holds its own :class:`~repro.core.gain.GreedyState`
-      replica kept in sync by replaying ``AddNode`` deltas, and sends
-      its gain block back through the pipe, paying O(block)
-      serialization per round.
-
-  Both protocols are **epoch-stamped**: every solver state carries a
-  monotonically increasing epoch (bumped by ``AddNode``) plus a CRC-32
-  digest of the exact selection order, every control message carries
-  the epoch/digest it was computed for, and pipe workers *reject* a
-  round whose base does not match their replica, bouncing a ``resync``
-  that makes the parent replay the full order.  A stale replica — the
-  classic reused-pool bug where a fresh solve meets workers still
-  holding the previous solve's selections — is therefore detected
-  structurally on both sides of the pipe instead of relying on parent
-  bookkeeping alone.
-
-  The pool is **supervised**: ``recv`` waits are bounded by
-  ``timeout_s``, a crashed or hung worker is killed and respawned up to
-  ``max_restarts`` times (then the round raises
-  :class:`~repro.errors.SolverError` carrying the worker's reason or
-  traceback), and teardown joins/kills every child and unlinks every
-  shared segment even when a round aborts mid-flight.
-
-  Plug it into ``greedy_solve(..., strategy="naive", parallel=...)`` or
-  ``greedy_threshold_solve(..., parallel=...)``.  Both protocols produce
-  byte-identical selections to the serial path — continuously proven by
-  :mod:`repro.evaluation.differential`.  When ``fork`` is unavailable
-  the evaluator degrades to serial evaluation.
-
-* :func:`simulate_parallel_runtime` / :func:`speedup_curve` — a
-  deterministic work-span cost model that counts the exact per-iteration
-  edge-work our implementation performs and applies the paper's parallel
-  bound with a measured per-operation cost and a per-iteration
-  synchronization overhead.  This reproduces the *shape* of the paper's
-  Figure 4e (near-perfect scaling, ~20x on 32 cores) on hosts — like this
-  reproduction's single-core container — that cannot run 32 hardware
-  threads.  See DESIGN.md, substitution 3.
+workers.  :func:`calibrate_cost_model` counts the exact per-iteration
+edge-work of the serial naive greedy, measures the cost of one unit of it,
+and :func:`speedup_curve` applies the paper's parallel bound with a
+per-iteration synchronization overhead.  This reproduces the *shape* of
+Figure 4e (near-perfect scaling, ~20x on 32 cores) on hosts that cannot
+run 32 hardware threads.  See DESIGN.md, substitution 3.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import time
-import traceback
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
 from ..errors import SolverError
-from ..observability import coerce_tracer, logs
-from .csr import CSRGraph, as_csr
-from .gain import GreedyState, order_digest
-from .kernels import KernelBackend, get_kernels
+from .csr import as_csr
+from .greedy import greedy_solve
 from .variants import Variant
 
-try:
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - py>=3.8 always has it
-    _shared_memory = None
 
-#: Recognized wire protocols; ``auto`` prefers shared memory.
-PARALLEL_BACKENDS = ("auto", "shm", "pipe", "serial")
-
-# Module-level slots used to hand state to forked workers without
-# pickling it through the pipe (fork shares the parent's address space
-# copy-on-write; the CSR arrays are read-only, the shared views are
-# backed by the shared-memory segments).
-_WORKER_GRAPH: Optional[CSRGraph] = None
-_WORKER_VARIANT: Optional[Variant] = None
-_WORKER_KERNELS: Optional[KernelBackend] = None
-_WORKER_SHARED: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-
-_LOG = logs.get_logger("parallel")
-_WORKER_LOG = logs.get_logger("parallel.worker")
-
-
-class _WorkerFault(Exception):
-    """Internal: worker ``index`` crashed or timed out (supervision path).
-
-    Distinct from an *application* error (the worker is alive and
-    reported a failure with a traceback), which is never retried.
-    """
-
-    def __init__(self, index: int, reason: str) -> None:
-        super().__init__(f"worker {index} {reason}")
-        self.index = index
-        self.reason = reason
-
-
-def _pipe_worker_loop(conn, lo: int, hi: int) -> None:
-    """Pipe-protocol worker: keep an epoch-stamped replica, answer rounds.
-
-    Control messages (tuples, first element is the tag):
-
-    * ``("gains", seq, base_epoch, base_digest, delta[, trace])`` —
-      verify the replica sits exactly at ``(base_epoch, base_digest)``;
-      on match replay ``delta`` and answer ``("ok", seq, epoch,
-      block)``, on mismatch answer ``("resync", seq, epoch)`` *without*
-      mutating the replica.  ``trace`` is the parent's trace id; when
-      structured logging is on (the sink is inherited across the fork)
-      the worker stamps it on its round records so one grep follows a
-      query into the pool and back.
-    * ``("sync", seq, order[, trace])`` — rebuild the replica from
-      scratch by replaying ``order``; answer ``("synced", seq, epoch)``.
-    * ``("ping", seq)`` — liveness probe; answer ``("pong", seq)``.
-    * ``("stop",)`` — exit.
-
-    Application failures answer ``("error", seq, traceback)`` and keep
-    the worker alive; the parent raises without retrying.
-    """
-    csr = _WORKER_GRAPH
-    variant = _WORKER_VARIANT
-    kernels = _WORKER_KERNELS
-    state = GreedyState(csr, variant, kernels=kernels)
-    try:
-        while True:
-            message = conn.recv()
-            tag = message[0]
-            if tag == "stop":
-                return
-            seq = message[1] if len(message) > 1 else 0
-            try:
-                if tag == "gains":
-                    seq, base_epoch, base_digest, delta = message[1:5]
-                    trace = message[5] if len(message) > 5 else None
-                    if (state.epoch != base_epoch
-                            or state.order_digest != base_digest):
-                        conn.send(("resync", seq, state.epoch))
-                        continue
-                    for node in delta:
-                        state.add_node(node)
-                    if logs._SINK is not None and trace:
-                        _WORKER_LOG.event(
-                            "worker_round", trace_id=trace, seq=seq,
-                            epoch=state.epoch, lo=lo, hi=hi,
-                        )
-                    conn.send(("ok", seq, state.epoch,
-                               state.gains_range(lo, hi)))
-                elif tag == "sync":
-                    seq, order = message[1], message[2]
-                    state = GreedyState(csr, variant, kernels=kernels)
-                    for node in order:
-                        state.add_node(node)
-                    conn.send(("synced", seq, state.epoch))
-                elif tag == "ping":
-                    conn.send(("pong", seq))
-                else:
-                    conn.send(
-                        ("error", seq, f"unknown control message {tag!r}")
-                    )
-            except Exception:  # surface worker failures to the parent
-                conn.send(("error", seq, traceback.format_exc()))
-    except (EOFError, BrokenPipeError, OSError, KeyboardInterrupt):
-        pass
-    finally:
-        conn.close()
-
-
-def _shm_worker_loop(conn, lo: int, hi: int) -> None:
-    """Shared-memory worker: read state, write gains, ack with one line.
-
-    The worker is stateless (the solver state lives in the shared
-    buffers), so there is no replica to go stale; rounds are still
-    stamped — ``b"gains <seq> <epoch>[ <trace>]"`` is acked as
-    ``b"ok <seq> <epoch>[ <trace>]"`` — so the parent can discard
-    out-of-date acks after a worker restart.  The optional third token
-    is the parent's trace id; with structured logging inherited across
-    the fork the worker stamps it on its round records.
-    """
-    csr = _WORKER_GRAPH
-    kernels = _WORKER_KERNELS
-    in_set, deficit, out = _WORKER_SHARED
-    independent = _WORKER_VARIANT is Variant.INDEPENDENT
-    try:
-        while True:
-            message = conn.recv_bytes()
-            if message == b"stop":
-                return
-            tag, _, rest = message.partition(b" ")
-            if tag == b"gains":
-                try:
-                    out[lo:hi] = kernels.gains_block(
-                        lo, hi, csr.in_ptr, csr.in_src, csr.in_weight,
-                        csr.node_weight, in_set, deficit, independent,
-                    )
-                    if logs._SINK is not None:
-                        parts = rest.split(b" ")
-                        if len(parts) > 2 and parts[2] != b"-":
-                            _WORKER_LOG.event(
-                                "worker_round",
-                                trace_id=parts[2].decode(
-                                    "ascii", "replace"
-                                ),
-                                seq=int(parts[0]),
-                                epoch=int(parts[1]),
-                                lo=lo, hi=hi,
-                            )
-                    conn.send_bytes(b"ok " + rest)
-                except Exception:
-                    conn.send_bytes(
-                        b"err " + rest + b" "
-                        + traceback.format_exc().encode()
-                    )
-            elif tag == b"ping":
-                conn.send_bytes(b"pong " + rest)
-            else:
-                conn.send_bytes(
-                    b"err 0 0 unknown control message " + message[:64]
-                )
-    except (EOFError, BrokenPipeError, OSError, KeyboardInterrupt):
-        pass
-    finally:
-        conn.close()
-
-
-class ParallelGainEvaluator:
-    """Evaluate full gain vectors across ``n_workers`` processes.
-
-    Use as a context manager::
-
-        with ParallelGainEvaluator(csr, variant, n_workers=4) as pool:
-            result = greedy_solve(csr, k=k, variant=variant,
-                                  strategy="naive", parallel=pool)
-
-    Args:
-        graph: the instance (``PreferenceGraph`` or ``CSRGraph``).
-        variant: problem variant; workers replicate it.
-        n_workers: process count; ``1`` short-circuits to serial.
-        backend: wire protocol — ``"auto"`` (shared memory where
-            available), ``"shm"``, ``"pipe"`` or ``"serial"``.
-            Unavailable protocols degrade (``shm`` -> ``pipe`` ->
-            ``serial``); the resolved choice is exposed as
-            :attr:`backend`.
-        tracer: observability sink; per-round timings/counters are
-            recorded when enabled.
-        kernels: kernel backend forwarded to the workers (see
-            :mod:`repro.core.kernels`).
-        timeout_s: supervision bound on every per-worker ``recv`` wait;
-            a worker that does not answer within the window is treated
-            as hung, killed and (budget permitting) restarted.  ``None``
-            waits forever (unsupervised).
-        max_restarts: total worker respawns the pool may spend over its
-            lifetime before a crash/hang escalates to
-            :class:`SolverError`.  ``0`` fails on the first fault.
-
-    The evaluator is exception-safe: a worker failure raises
-    :class:`SolverError` in the parent *after* every child has been
-    joined or terminated, and ``__exit__`` always tears the pool down
-    even when the solve aborts mid-flight.  The pool may be reused —
-    across sequential solves *and* across ``close()``/``start()``
-    cycles — because every round re-verifies replica synchrony via the
-    epoch/digest stamp instead of trusting parent-side bookkeeping.
-
-    Supervision counters are exposed as :attr:`restarts`,
-    :attr:`resyncs` and :attr:`timeouts` (cumulative over the pool's
-    lifetime) and mirrored to the tracer as ``parallel.restarts`` /
-    ``parallel.resyncs`` / ``parallel.timeouts``.
-    """
-
-    def __init__(
-        self,
-        graph,
-        variant: "Variant | str",
-        n_workers: int = 2,
-        *,
-        backend: str = "auto",
-        tracer=None,
-        kernels: "KernelBackend | str | None" = None,
-        timeout_s: Optional[float] = 30.0,
-        max_restarts: int = 2,
-    ) -> None:
-        if n_workers < 1:
-            raise SolverError(f"n_workers must be >= 1, got {n_workers}")
-        if backend not in PARALLEL_BACKENDS:
-            raise SolverError(
-                f"unknown parallel backend {backend!r}; expected one of "
-                f"{PARALLEL_BACKENDS}"
-            )
-        if timeout_s is not None and timeout_s <= 0:
-            raise SolverError(
-                f"timeout_s must be positive or None, got {timeout_s}"
-            )
-        if max_restarts < 0:
-            raise SolverError(
-                f"max_restarts must be >= 0, got {max_restarts}"
-            )
-        self.csr = as_csr(graph)
-        self.variant = Variant.coerce(variant)
-        self.tracer = coerce_tracer(tracer)
-        self.kernels = get_kernels(kernels)
-        self.n_workers = n_workers
-        self.backend = self._resolve_backend(backend, n_workers)
-        self.timeout_s = timeout_s
-        self.max_restarts = max_restarts
-        self.restarts = 0
-        self.resyncs = 0
-        self.timeouts = 0
-        self._seq = 0
-        self._replica_epoch = 0
-        self._replica_digest = 0
-        self._conns: List = []
-        self._procs: List = []
-        self._bounds: List = []
-        self._shm_blocks: List = []
-        self._shared_in_set: Optional[np.ndarray] = None
-        self._shared_deficit: Optional[np.ndarray] = None
-        self._shared_gains: Optional[np.ndarray] = None
-        self._started = False
-
-    @staticmethod
-    def _resolve_backend(requested: str, n_workers: int) -> str:
-        """Degrade gracefully: shm -> pipe -> serial."""
-        if requested == "serial" or n_workers <= 1:
-            return "serial"
-        if "fork" not in mp.get_all_start_methods():
-            # Without fork neither protocol can hand the graph to the
-            # workers cheaply; evaluate serially.
-            return "serial"
-        if requested == "pipe":
-            return "pipe"
-        return "shm" if _shared_memory is not None else "pipe"
-
-    # ------------------------------------------------------------------
-    def __enter__(self) -> "ParallelGainEvaluator":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def start(self) -> None:
-        """Fork the worker processes (no-op in serial mode)."""
-        if self._started:
-            return
-        self._started = True
-        # Fresh forks hold empty replicas; reset the tracked base so a
-        # reused pool never claims its workers are ahead of reality.
-        self._replica_epoch = 0
-        self._replica_digest = 0
-        if self.backend == "serial":
-            return
-        ctx = mp.get_context("fork")
-        n = self.csr.n_items
-        if self.backend == "shm":
-            self._allocate_shared(n)
-        # Partition candidates into blocks of near-equal *edge* counts so
-        # workers finish together even on skewed degree distributions.
-        # Degenerate splits (n_workers > n, extreme skew) can produce
-        # empty (lo, lo) blocks; spawning a worker that would only ever
-        # idle wastes a fork, so empty ranges are skipped outright.
-        cuts = [
-            (lo, hi)
-            for lo, hi in self._edge_balanced_cuts(n, self.n_workers)
-            if hi > lo
-        ]
-        try:
-            for lo, hi in cuts:
-                conn, proc = self._spawn_worker(ctx, lo, hi)
-                self._conns.append(conn)
-                self._procs.append(proc)
-                self._bounds.append((lo, hi))
-        except BaseException:
-            self.close()
-            raise
-        if self.tracer.enabled:
-            self.tracer.incr(f"parallel.start.{self.backend}")
-            self.tracer.set_gauge("parallel.pool_size", len(self._procs))
-
-    def _spawn_worker(self, ctx, lo: int, hi: int):
-        """Fork one worker for the candidate block ``[lo, hi)``.
-
-        The graph/variant/kernels (and, for shm, the shared views) are
-        handed over through module globals so fork inherits them without
-        pickling; the slots are cleared again before returning.
-        """
-        if self.backend == "shm":
-            target = _shm_worker_loop
-            shared = (
-                self._shared_in_set, self._shared_deficit, self._shared_gains
-            )
-        else:
-            target = _pipe_worker_loop
-            shared = None
-        global _WORKER_GRAPH, _WORKER_VARIANT, _WORKER_KERNELS, _WORKER_SHARED
-        _WORKER_GRAPH = self.csr
-        _WORKER_VARIANT = self.variant
-        _WORKER_KERNELS = self.kernels
-        _WORKER_SHARED = shared
-        try:
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=target, args=(child_conn, lo, hi), daemon=True
-            )
-            proc.start()
-            child_conn.close()
-        finally:
-            _WORKER_GRAPH = None
-            _WORKER_VARIANT = None
-            _WORKER_KERNELS = None
-            _WORKER_SHARED = None
-        return parent_conn, proc
-
-    def _allocate_shared(self, n: int) -> None:
-        """Create the three shared segments and their array views."""
-
-        def alloc(nbytes: int):
-            block = _shared_memory.SharedMemory(
-                create=True, size=max(1, nbytes)
-            )
-            self._shm_blocks.append(block)
-            return block
-
-        self._shared_in_set = np.ndarray(
-            (n,), dtype=bool, buffer=alloc(n).buf
-        )
-        self._shared_deficit = np.ndarray(
-            (n,), dtype=np.float64, buffer=alloc(8 * n).buf
-        )
-        self._shared_gains = np.ndarray(
-            (n,), dtype=np.float64, buffer=alloc(8 * n).buf
-        )
-
-    def _edge_balanced_cuts(self, n: int, parts: int) -> List:
-        """Split ``range(n)`` into ``parts`` blocks of ~equal in-edge mass."""
-        in_ptr = self.csr.in_ptr
-        total = float(in_ptr[-1] + n)  # edges plus self terms
-        cuts = []
-        lo = 0
-        for part in range(parts):
-            if part == parts - 1:
-                hi = n
-            else:
-                target = total * (part + 1) / parts
-                # position where edge-mass + node count reaches the target
-                hi = int(
-                    np.searchsorted(
-                        in_ptr[1:] + np.arange(1, n + 1), target, side="left"
-                    )
-                ) + 1
-                hi = min(max(hi, lo), n)
-            cuts.append((lo, hi))
-            lo = hi
-        return cuts
-
-    def liveness(self) -> List[bool]:
-        """Per-worker liveness snapshot (``[]`` in serial mode)."""
-        return [proc.is_alive() for proc in self._procs]
-
-    def close(self) -> None:
-        """Terminate the workers and release the shared segments.
-
-        Idempotent and best-effort: every teardown step runs even when
-        earlier ones fail, so no child process or shared-memory block is
-        leaked by an aborted solve.  Stopped (``SIGSTOP``) children that
-        ignore the polite ``stop``/``SIGTERM`` sequence are ``SIGKILL``ed.
-        """
-        stop = b"stop" if self.backend == "shm" else ("stop",)
-        for conn in self._conns:
-            try:
-                if isinstance(stop, bytes):
-                    conn.send_bytes(stop)
-                else:
-                    conn.send(stop)
-            except (BrokenPipeError, OSError, ValueError):
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-        for proc in self._procs:
-            # Healthy workers exit within milliseconds of the stop
-            # message; a short grace period keeps teardown of a hung
-            # (e.g. SIGSTOPped) child bounded before escalating.
-            proc.join(timeout=1)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=1)
-            if proc.is_alive():
-                proc.kill()
-                proc.join(timeout=5)
-        self._conns = []
-        self._procs = []
-        self._bounds = []
-        # Views into the segments must be dropped before the buffers are
-        # released, or SharedMemory.close() raises BufferError.
-        self._shared_in_set = None
-        self._shared_deficit = None
-        self._shared_gains = None
-        for block in self._shm_blocks:
-            try:
-                block.close()
-            except (BufferError, OSError):
-                pass
-            try:
-                block.unlink()
-            except (FileNotFoundError, OSError):
-                pass
-        self._shm_blocks = []
-        self._replica_epoch = 0
-        self._replica_digest = 0
-        self._started = False
-
-    # ------------------------------------------------------------------
-    # Supervision primitives
-    # ------------------------------------------------------------------
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def _recv(self, index: int):
-        """Bounded receive from worker ``index``.
-
-        Raises :class:`_WorkerFault` on timeout or a dead/closed pipe —
-        the supervision faults that are eligible for a restart.
-        """
-        conn = self._conns[index]
-        try:
-            ready = conn.poll(self.timeout_s)
-        except (OSError, ValueError) as exc:
-            raise _WorkerFault(index, f"pipe failed ({exc})") from exc
-        if not ready:
-            self.timeouts += 1
-            if self.tracer.enabled:
-                self.tracer.incr("parallel.timeouts")
-            raise _WorkerFault(
-                index, f"timed out after {self.timeout_s}s"
-            )
-        try:
-            if self.backend == "shm":
-                return conn.recv_bytes()
-            return conn.recv()
-        except (EOFError, ConnectionResetError, OSError) as exc:
-            code = self._procs[index].exitcode
-            raise _WorkerFault(
-                index, f"crashed (exitcode {code})"
-            ) from exc
-
-    def _send(self, index: int, payload) -> None:
-        """Send to worker ``index``; dead pipes raise :class:`_WorkerFault`."""
-        conn = self._conns[index]
-        try:
-            if self.backend == "shm":
-                conn.send_bytes(payload)
-            else:
-                conn.send(payload)
-        except (BrokenPipeError, ConnectionResetError, OSError,
-                ValueError) as exc:
-            code = self._procs[index].exitcode
-            raise _WorkerFault(
-                index, f"crashed (exitcode {code})"
-            ) from exc
-
-    def _restart_worker(self, index: int, reason: str) -> None:
-        """Kill and respawn worker ``index``, spending the restart budget."""
-        self.restarts += 1
-        if self.restarts > self.max_restarts:
-            raise SolverError(
-                f"parallel worker {index} {reason}; restart budget "
-                f"({self.max_restarts}) exhausted"
-            )
-        if self.tracer.enabled:
-            self.tracer.incr("parallel.restarts")
-        proc = self._procs[index]
-        try:
-            self._conns[index].close()
-        except OSError:
-            pass
-        if proc.is_alive():
-            proc.terminate()
-            proc.join(timeout=1)
-        if proc.is_alive():
-            proc.kill()
-            proc.join(timeout=5)
-        ctx = mp.get_context("fork")
-        lo, hi = self._bounds[index]
-        conn, fresh = self._spawn_worker(ctx, lo, hi)
-        self._conns[index] = conn
-        self._procs[index] = fresh
-
-    def _revive(self, index: int, reason: str, resend) -> None:
-        """Restart worker ``index`` until ``resend`` goes through.
-
-        ``resend`` re-issues the in-flight request(s) to the fresh
-        worker; a send that faults again keeps spending the restart
-        budget until it is exhausted (at which point
-        :meth:`_restart_worker` raises :class:`SolverError`).
-        """
-        while True:
-            self._restart_worker(index, reason)
-            try:
-                resend(index)
-                return
-            except _WorkerFault as fault:
-                reason = fault.reason
-
-    # ------------------------------------------------------------------
-    def gains(self, state: GreedyState) -> np.ndarray:
-        """Full gain vector for the solver's current state.
-
-        Under the ``shm`` protocol the state is published to the shared
-        buffers each round; under ``pipe`` the round carries the epoch
-        delta since the last verified sync and workers bounce a
-        ``resync`` on any mismatch.  Worker crashes and hangs are
-        retried within the restart budget; anything beyond it — and any
-        application error a worker reports — raises
-        :class:`SolverError` after the pool has been torn down.
-        """
-        if not self._started:
-            self.start()
-        if self.backend == "serial" or not self._conns:
-            return state.gains_all()
-        self._inject_pool_faults()
-        try:
-            if self.backend == "shm":
-                return self._shm_round(state)
-            return self._pipe_round(state)
-        except SolverError:
-            self.close()
-            raise
-        except _WorkerFault as fault:
-            self.close()
-            raise SolverError(
-                f"parallel worker {fault.index} {fault.reason}; "
-                f"worker pool torn down"
-            ) from fault
-        except Exception as exc:
-            self.close()
-            raise SolverError(
-                f"parallel gain evaluation failed ({type(exc).__name__}: "
-                f"{exc}); worker pool torn down"
-            ) from exc
-
-    def _inject_pool_faults(self) -> None:
-        """Consult the active fault injector before a round (chaos tests).
-
-        ``worker_crash`` SIGKILLs one rng-chosen worker so the round
-        exercises the supervision/restart path; ``recv_delay`` stalls
-        the parent the way a slow worker would.  No-op without an
-        active injector.
-        """
-        from ..resilience.faults import active_faults
-
-        faults = active_faults()
-        if faults is None or not self._procs:
-            return
-        victim = faults.crash_worker_index(len(self._procs))
-        if victim is not None:
-            proc = self._procs[victim]
-            if proc.is_alive() and proc.pid is not None:
-                import os
-                import signal
-
-                os.kill(proc.pid, signal.SIGKILL)
-                proc.join(timeout=5)
-        delay = faults.round_delay_s()
-        if delay > 0:
-            time.sleep(delay)
-
-    # ------------------------------------------------------------------
-    # shm protocol
-    # ------------------------------------------------------------------
-    def _shm_round(self, state: GreedyState) -> np.ndarray:
-        tracer = self.tracer
-        round_start = time.perf_counter()
-        np.copyto(self._shared_in_set, state.in_set)
-        np.copyto(self._shared_deficit, state.deficit)
-        seq = self._next_seq()
-        # Stamp the round with the ambient trace id (``-`` when no span
-        # is active) so worker-side records correlate with the parent's.
-        trace = logs.current_trace_id() or "-"
-        request = b"gains %d %d %s" % (seq, state.epoch, trace.encode())
-
-        def resend(index: int) -> None:
-            self._send(index, request)
-
-        for index in range(len(self._conns)):
-            try:
-                self._send(index, request)
-            except _WorkerFault as fault:
-                self._revive(index, fault.reason, resend)
-        ack_times = []
-        for index in range(len(self._conns)):
-            wait_start = time.perf_counter()
-            self._shm_collect(index, seq, resend)
-            ack_times.append(time.perf_counter() - round_start)
-            if tracer.enabled:
-                tracer.observe(
-                    f"parallel.worker{index}.recv_s",
-                    time.perf_counter() - wait_start,
-                )
-        gains = self._shared_gains.copy()
-        round_s = time.perf_counter() - round_start
-        if tracer.enabled:
-            tracer.incr("parallel.rounds")
-            # State published + gains drained: 1 byte/flag + 8/deficit +
-            # 8/gain per item, vs O(n) *pickled* floats per worker for
-            # the pipe protocol.
-            tracer.incr("parallel.shared_bytes", 17 * state.in_set.shape[0])
-            tracer.observe("parallel.round_s", round_s)
-            self._observe_utilization(ack_times, round_s)
-        if logs._SINK is not None:
-            _LOG.event(
-                "round", backend="shm", seq=seq, epoch=state.epoch,
-                workers=len(self._conns), round_s=round(round_s, 6),
-            )
-        return gains
-
-    def _observe_utilization(
-        self, ack_times: List[float], round_s: float
-    ) -> None:
-        """Fold one round's busy-fraction proxy into the tracer.
-
-        Each worker computes from round start until its ack lands, so
-        ``mean(time-to-ack) / round wall time`` upper-bounds the pool's
-        busy fraction; 1.0 means every worker worked the whole round,
-        values near ``1/N`` mean one straggler held the round open.
-        """
-        if not ack_times or round_s <= 0:
-            return
-        utilization = min(
-            1.0, sum(ack_times) / (len(ack_times) * round_s)
-        )
-        self.tracer.observe("parallel.pool_utilization", utilization)
-
-    def _shm_collect(self, index: int, seq: int, resend) -> None:
-        """Wait for worker ``index`` to ack round ``seq``."""
-        while True:
-            try:
-                reply = self._recv(index)
-            except _WorkerFault as fault:
-                self._revive(index, fault.reason, resend)
-                continue
-            tag, _, rest = reply.partition(b" ")
-            if tag == b"ok":
-                if int(rest.split(b" ", 1)[0]) != seq:
-                    continue  # stale ack from before a restart
-                return
-            if tag == b"pong":
-                continue
-            if tag == b"err":
-                # err <seq> <epoch> <detail...>
-                parts = rest.split(b" ", 2)
-                detail = parts[2] if len(parts) == 3 else rest
-                raise SolverError(
-                    f"parallel worker {index} failed: "
-                    f"{detail.decode('utf-8', 'replace').strip()}"
-                )
-            raise SolverError(
-                f"parallel worker {index} sent unexpected reply "
-                f"{reply[:64]!r}"
-            )
-
-    # ------------------------------------------------------------------
-    # pipe protocol
-    # ------------------------------------------------------------------
-    def _pipe_round(self, state: GreedyState) -> np.ndarray:
-        tracer = self.tracer
-        round_start = time.perf_counter()
-        seq = self._next_seq()
-        base_epoch = self._replica_epoch
-        base_digest = self._replica_digest
-        # Parent-side staleness check: the tracked base must be a prefix
-        # of the *current* state's order.  A fresh state on a warm pool
-        # (epoch went backwards) or a different selection of equal length
-        # (digest mismatch) forces a full resync; the worker-side check
-        # in _pipe_worker_loop covers anything this misses.
-        stale = (
-            base_epoch > state.epoch
-            or base_digest != order_digest(state.order[:base_epoch])
-        )
-        order = list(state.order)
-        # Trace stamp mirrored from the shm protocol: workers log their
-        # round records against the parent's trace id.
-        trace = logs.current_trace_id()
-        if stale:
-            self.resyncs += 1
-            if tracer.enabled:
-                tracer.incr("parallel.resyncs")
-            request = ("gains", seq, state.epoch, state.order_digest, [],
-                       trace)
-        else:
-            request = ("gains", seq, base_epoch, base_digest,
-                       order[base_epoch:], trace)
-
-        def resend(index: int) -> None:
-            # A fresh fork holds an empty replica: rebuild it, then
-            # re-issue the round against the rebuilt base.
-            self._send(index, ("sync", seq, order))
-            self._send(
-                index,
-                ("gains", seq, state.epoch, state.order_digest, [], trace),
-            )
-
-        for index in range(len(self._conns)):
-            try:
-                if stale:
-                    self._send(index, ("sync", seq, order))
-                self._send(index, request)
-            except _WorkerFault as fault:
-                self._revive(index, fault.reason, resend)
-        gains = np.empty(self.csr.n_items, dtype=np.float64)
-        ack_times = []
-        for index, (lo, hi) in enumerate(self._bounds):
-            wait_start = time.perf_counter()
-            gains[lo:hi] = self._pipe_collect(index, seq, state, resend)
-            ack_times.append(time.perf_counter() - round_start)
-            if tracer.enabled:
-                tracer.observe(
-                    f"parallel.worker{index}.recv_s",
-                    time.perf_counter() - wait_start,
-                )
-        self._replica_epoch = state.epoch
-        self._replica_digest = state.order_digest
-        round_s = time.perf_counter() - round_start
-        if tracer.enabled:
-            tracer.incr("parallel.rounds")
-            tracer.incr("parallel.piped_floats", self.csr.n_items)
-            tracer.observe("parallel.round_s", round_s)
-            self._observe_utilization(ack_times, round_s)
-        if logs._SINK is not None:
-            _LOG.event(
-                "round", backend="pipe", seq=seq, epoch=state.epoch,
-                workers=len(self._conns), resync=stale,
-                round_s=round(round_s, 6),
-            )
-        return gains
-
-    def _pipe_collect(self, index: int, seq: int, state: GreedyState,
-                      resend) -> np.ndarray:
-        """Wait for worker ``index``'s gain block for round ``seq``."""
-        while True:
-            try:
-                reply = self._recv(index)
-            except _WorkerFault as fault:
-                self._revive(index, fault.reason, resend)
-                continue
-            tag = reply[0]
-            if tag == "ok":
-                _, rseq, epoch, block = reply
-                if rseq != seq:
-                    continue  # stale reply from before a restart
-                if epoch != state.epoch:
-                    raise SolverError(
-                        f"parallel worker {index} answered epoch {epoch} "
-                        f"for a round at epoch {state.epoch}"
-                    )
-                return block
-            if tag == "resync":
-                if reply[1] != seq:
-                    continue
-                # The replica rejected our base: replay the full order.
-                self.resyncs += 1
-                if self.tracer.enabled:
-                    self.tracer.incr("parallel.resyncs")
-                try:
-                    self._send(index, ("sync", seq, list(state.order)))
-                    self._send(
-                        index,
-                        ("gains", seq, state.epoch, state.order_digest, [],
-                         logs.current_trace_id()),
-                    )
-                except _WorkerFault as fault:
-                    self._revive(index, fault.reason, resend)
-                continue
-            if tag in ("synced", "pong"):
-                continue
-            if tag == "error":
-                raise SolverError(
-                    f"parallel worker {index} failed: {reply[2]}"
-                )
-            raise SolverError(
-                f"parallel worker {index} sent unexpected reply {tag!r}"
-            )
-
-
-# ----------------------------------------------------------------------
-# Work-span cost model (Figure 4e substitution)
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ParallelCostModel:
     """Calibrated cost model of one greedy run.
@@ -941,8 +69,11 @@ def calibrate_cost_model(
     The per-iteration work counts are exact (``n - |S|`` self terms plus
     all in-edges of live candidates — the quantity the paper bounds by
     ``n * D``); the per-op cost is the measured serial runtime divided by
-    the total work.
+    the total work.  Raises :class:`SolverError` for ``k < 1``: a run
+    with no rounds has no work to calibrate against.
     """
+    if k < 1:
+        raise SolverError(f"the cost model needs k >= 1 rounds, got k={k}")
     variant = Variant.coerce(variant)
     csr = as_csr(graph)
     work_per_iteration = []
@@ -952,17 +83,13 @@ def calibrate_cost_model(
         # per candidate; retained nodes drop out of the candidate pool.
         work_per_iteration.append(csr.n_edges + csr.n_items - iteration)
 
-    from .greedy import greedy_solve  # local import to avoid a cycle
-
     start = time.perf_counter()
     greedy_solve(csr, k=k, variant=variant, strategy="naive", callback=record)
     elapsed = time.perf_counter() - start
     work = np.asarray(work_per_iteration, dtype=np.float64)
-    total = float(work.sum())
-    per_op = elapsed / total if total else 0.0
     return ParallelCostModel(
         iteration_work=work,
-        per_op_seconds=per_op,
+        per_op_seconds=elapsed / float(work.sum()),
         sync_seconds=sync_seconds,
     )
 

@@ -47,8 +47,9 @@ class SolveResult:
             for solvers that do not build the set incrementally (BF).
         strategy: human-readable solver/strategy name.
         wall_time_s: wall-clock solve time in seconds.
-        gain_evaluations: number of marginal-gain oracle calls (lazy
-            strategies perform far fewer than ``n * k``).
+        gain_evaluations: number of marginal-gain oracle calls (the
+            accelerated strategy performs ``n``, the naive one about
+            ``n * k``).
         telemetry: observability payload (metrics registry plus the
             optional per-iteration trace) attached by the
             :func:`repro.solve` facade; ``None`` when the solver ran

@@ -37,8 +37,6 @@ def greedy_threshold_solve(
     threshold: float,
     variant: "Variant | str",
     tracer=None,
-    kernels=None,
-    parallel=None,
     checkpoint=None,
     guard=None,
 ) -> SolveResult:
@@ -48,14 +46,6 @@ def greedy_threshold_solve(
     greedy ordering (prefix property), but stops as soon as the threshold
     is crossed instead of ordering all ``n`` items — the paper's direct
     approach that avoids the binary-search overhead.
-
-    ``kernels`` selects the arithmetic backend (see
-    :mod:`repro.core.kernels`).  ``parallel`` accepts a
-    :class:`~repro.core.parallel.ParallelGainEvaluator`; when given, each
-    selection recomputes the full gain vector across the pool's workers
-    (the naive recomputation rule) instead of patching it incrementally —
-    same selections, different cost profile, useful on wide graphs where
-    one machine-sized gain sweep dominates.
 
     ``checkpoint`` accepts a checkpoint directory or a
     :class:`~repro.resilience.Checkpointer`; snapshots taken under a
@@ -74,17 +64,18 @@ def greedy_threshold_solve(
     """
     tracer = coerce_tracer(tracer)
     variant = Variant.coerce(variant)
+    if isinstance(threshold, bool):
+        raise SolverError("threshold must be a number, got bool")
     if not (0.0 <= threshold <= 1.0):
         raise SolverError(f"threshold must be in [0, 1], got {threshold}")
     csr = as_csr(graph)
     n = csr.n_items
-    state = GreedyState(csr, variant, tracer=tracer, kernels=kernels)
+    state = GreedyState(csr, variant, tracer=tracer)
     prefix_covers = [0.0]
     if tracer.enabled:
         tracer.event(
             "solve.start", solver="greedy-threshold",
             variant=variant.value, threshold=threshold, n_items=n,
-            parallel=parallel is not None,
         )
     start = time.perf_counter()
 
@@ -113,16 +104,10 @@ def greedy_threshold_solve(
                     replayed=replayed, cover=float(state.cover),
                 )
 
-    # Evaluation accounting mirrors greedy_solve: the accelerated path
-    # pays one full n-candidate sweep up front and then patches gains
-    # incrementally; the parallel (naive-recomputation) path pays one
-    # sweep over the live candidates per selection round.
-    if parallel is not None:
-        gains = None
-        evaluations = 0
-    else:
-        gains = prepare_accelerated_gains(state)
-        evaluations = n
+    # Evaluation accounting mirrors greedy_solve: one full n-candidate
+    # sweep up front, then gains are patched incrementally.
+    gains = prepare_accelerated_gains(state)
+    evaluations = n
     stop_reason = None
     while state.cover < threshold - 1e-12:
         if state.size == n:
@@ -130,15 +115,7 @@ def greedy_threshold_solve(
                 f"threshold {threshold} unreachable: cover of the full "
                 f"catalog is {state.cover:.12f}"
             )
-        if parallel is not None:
-            round_gains = parallel.gains(state)
-            evaluations += n - state.size
-            round_gains[state.in_set] = -np.inf
-            best = int(np.argmax(round_gains))
-            gain = float(round_gains[best])
-            state.add_node(best)
-        else:
-            best, gain = accelerated_step(state, gains, tracer=tracer)
+        best, gain = accelerated_step(state, gains, tracer=tracer)
         prefix_covers.append(state.cover)
         if tracer.enabled:
             tracer.iteration(

@@ -7,7 +7,7 @@ and the threshold problem is the k-problem's dual — the threshold
 solver must return exactly the shortest qualifying greedy prefix.  None
 of these oracles share code with the solvers (they recompute ``C``
 from scratch through :mod:`repro.core.cover`), so any solver path —
-strategy, backend, kernel, extension, serving snapshot — can be checked
+strategy, extension, serving snapshot — can be checked
 against them independently.
 
 Every oracle is an :class:`Invariant` in the module registry:

@@ -221,7 +221,7 @@ def fig4d_rows(
     k_divisor: int = 200,
     seed: SeedLike = 50,
 ) -> List[dict]:
-    """Scalability: accelerated and lazy greedy runtimes per n."""
+    """Scalability: accelerated greedy runtime per n."""
     rows = []
     for n in sizes:
         graph = random_preference_graph(n, seed=seed)
@@ -231,16 +231,12 @@ def fig4d_rows(
             graph, k=k, variant="independent", strategy="accelerated"
         )
         accel_time = time.perf_counter() - start
-        start = time.perf_counter()
-        greedy_solve(graph, k=k, variant="independent", strategy="lazy")
-        lazy_time = time.perf_counter() - start
         rows.append(
             {
                 "n": n,
                 "k": k,
                 "edges": graph.n_edges,
                 "accelerated_s": accel_time,
-                "lazy_s": lazy_time,
                 "cover": accelerated.cover,
             }
         )

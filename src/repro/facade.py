@@ -38,7 +38,6 @@ from typing import Mapping, Optional
 from .core.context import solve_context_digest
 from .core.csr import as_csr
 from .core.greedy import greedy_solve
-from .core.parallel import PARALLEL_BACKENDS
 from .core.threshold import greedy_threshold_solve
 from .core.variants import Variant
 from .errors import SolverError, SolverInterrupted
@@ -83,9 +82,6 @@ def solve(
     constraints: Optional[Mapping] = None,
     objective: Optional[Mapping] = None,
     tracer: Optional[SolverTrace] = None,
-    workers: Optional[int] = None,
-    parallel_backend: str = "auto",
-    kernels=None,
     checkpoint=None,
     guard=None,
     validated: bool = False,
@@ -99,8 +95,7 @@ def solve(
         threshold: cover target (complementary minimization).  Mutually
             exclusive with ``k``.
         strategy: greedy execution strategy (``auto`` / ``naive`` /
-            ``lazy`` / ``accelerated``); forwarded to the solvers that
-            support it.
+            ``accelerated``); forwarded to the solvers that support it.
         constraints: optional mapping with any of
             ``must_retain`` / ``exclude`` (item lists),
             ``budget`` + ``costs`` (storage knapsack), or
@@ -109,24 +104,11 @@ def solve(
             the objective from cover to expected revenue.
         tracer: a :class:`~repro.observability.SolverTrace` for
             per-iteration events; ``None`` records stage timings only.
-        workers: spread gain evaluation across this many worker
-            processes.  Applies to naive-strategy ``k`` solves and to
-            threshold solves; with ``strategy="auto"`` and ``workers > 1``
-            the naive (parallelizable) strategy is selected.  Combining
-            ``workers`` with an explicit incremental strategy
-            (``lazy`` / ``accelerated``) raises :class:`SolverError`.
-        parallel_backend: wire protocol for the worker pool — ``auto``
-            (shared memory where available), ``shm``, ``pipe`` or
-            ``serial``; see :class:`~repro.core.parallel.ParallelGainEvaluator`.
-        kernels: arithmetic backend for the solver hot loops (``auto`` /
-            ``numpy`` / ``numba`` or a
-            :class:`~repro.core.kernels.KernelBackend`); ``None``
-            consults the ``REPRO_KERNELS`` environment variable.
         checkpoint: a checkpoint directory (str/Path) or a
             :class:`~repro.resilience.Checkpointer`; the solve snapshots
             its greedy state periodically and resumes from the longest
             valid prefix on the next call.  Supported by plain ``k``
-            and ``threshold`` solves (with or without ``workers``).
+            and ``threshold`` solves.
         guard: a :class:`~repro.resilience.RunGuard`; a crossed
             deadline or RSS ceiling stops the solve after the current
             round, either raising
@@ -148,30 +130,22 @@ def solve(
         stamped with the solve's full-context fingerprint.
 
     Raises:
-        SolverError: conflicting or missing stopping rules
-            (``k`` *and* ``threshold``, neither, or ``budget`` mixed
-            with either), threshold runs with constraints, unknown
-            constraint/objective keys, an unknown ``parallel_backend``
-            (validated eagerly, even when no pool is built), an explicit
-            ``strategy`` on a threshold solve with ``workers > 1``
-            (which would otherwise be silently ignored), ``workers``
-            combined with a dispatch target that cannot use a worker
-            pool, or ``checkpoint``/``guard`` on a dispatch target
-            that does not support resilience hooks (budget, revenue,
-            quota solves).
+        SolverError: a bool ``k`` or ``threshold``, conflicting or
+            missing stopping rules (``k`` *and* ``threshold``, neither,
+            or ``budget`` mixed with either), threshold runs with
+            constraints, unknown constraint/objective keys, or
+            ``checkpoint``/``guard`` on a dispatch target that does not
+            support resilience hooks (budget, revenue, quota solves).
     """
+    # A bool passes as the number 1 (or 0) but would fingerprint and
+    # serialize as a different request, so it is rejected up front.
+    for name, value in (("k", k), ("threshold", threshold)):
+        if isinstance(value, bool):
+            raise SolverError(f"{name} must be a number, got bool")
     variant = Variant.coerce(variant)
     graph = as_csr(graph)
     if not validated:
         graph.validate(variant)
-    # Validate eagerly rather than deferring to ParallelGainEvaluator:
-    # with workers unset (or <= 1) no pool is ever built, and a typo'd
-    # backend would otherwise be accepted silently.
-    if parallel_backend not in PARALLEL_BACKENDS:
-        raise SolverError(
-            f"unknown parallel backend {parallel_backend!r}; expected one "
-            f"of {PARALLEL_BACKENDS}"
-        )
     options = _check_mapping("constraints", constraints, CONSTRAINT_KEYS)
     goal = _check_mapping("objective", objective, OBJECTIVE_KEYS)
 
@@ -239,38 +213,6 @@ def solve(
             "resilience hooks"
         )
 
-    want_pool = workers is not None and workers > 1
-    if want_pool:
-        if budget is not None or revenues is not None or categories is not None:
-            raise SolverError(
-                "workers applies only to plain k solves "
-                "(strategy='naive') and threshold solves"
-            )
-        if threshold is None:
-            if strategy == "auto":
-                strategy = "naive"  # the parallelizable strategy
-            elif strategy != "naive":
-                raise SolverError(
-                    f"workers={workers} requires strategy='naive' (the "
-                    f"lazy/accelerated strategies are inherently "
-                    f"sequential), got strategy={strategy!r}"
-                )
-        elif strategy != "auto":
-            raise SolverError(
-                f"threshold solves with workers={workers} always use the "
-                f"parallel naive recomputation rule; strategy="
-                f"{strategy!r} would be ignored — drop it or use "
-                f"strategy='auto'"
-            )
-
-    def make_pool():
-        from .core.parallel import ParallelGainEvaluator
-
-        return ParallelGainEvaluator(
-            graph, variant, n_workers=workers, backend=parallel_backend,
-            tracer=tracer, kernels=kernels,
-        )
-
     # Correlation: a solve inside an active span (e.g. a serving
     # refresh) joins that trace; a bare library call opens its own only
     # when structured logging is on, so the default path stays silent.
@@ -298,19 +240,10 @@ def solve(
                     tracer=tracer,
                 )
             elif threshold is not None:
-                if want_pool:
-                    with make_pool() as pool:
-                        result = greedy_threshold_solve(
-                            graph, threshold=threshold, variant=variant,
-                            tracer=tracer, kernels=kernels, parallel=pool,
-                            checkpoint=checkpoint, guard=guard,
-                        )
-                else:
-                    result = greedy_threshold_solve(
-                        graph, threshold=threshold, variant=variant,
-                        tracer=tracer, kernels=kernels,
-                        checkpoint=checkpoint, guard=guard,
-                    )
+                result = greedy_threshold_solve(
+                    graph, threshold=threshold, variant=variant,
+                    tracer=tracer, checkpoint=checkpoint, guard=guard,
+                )
             elif revenues is not None:
                 from .extensions.revenue import revenue_greedy_solve
 
@@ -330,19 +263,11 @@ def solve(
                     graph, variant=variant, categories=categories,
                     quotas=quotas, k=k, tracer=tracer,
                 )
-            elif want_pool:
-                with make_pool() as pool:
-                    result = greedy_solve(
-                        graph, k=k, variant=variant, strategy=strategy,
-                        must_retain=must_retain, exclude=exclude,
-                        tracer=tracer, kernels=kernels, parallel=pool,
-                        checkpoint=checkpoint, guard=guard,
-                    )
             else:
                 result = greedy_solve(
                     graph, k=k, variant=variant, strategy=strategy,
                     must_retain=must_retain, exclude=exclude, tracer=tracer,
-                    kernels=kernels, checkpoint=checkpoint, guard=guard,
+                    checkpoint=checkpoint, guard=guard,
                 )
     except SolverInterrupted as exc:
         # The guard tripped with on_trigger="raise": attach telemetry to

@@ -2,8 +2,8 @@
 
 The operations plane needs to answer "what happened to *this* query?"
 across the serving frontend's micro-batcher, the service's snapshot
-reads, the runtime's retry/breaker episodes and the parallel worker
-protocol.  Two pieces make that a single grep:
+reads and the runtime's retry/breaker episodes.  Two pieces make that a
+single grep:
 
 * **:class:`TraceContext`** — an immutable ``(trace_id, span_id,
   component)`` triple held in a :mod:`contextvars` variable, so it

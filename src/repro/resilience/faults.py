@@ -13,11 +13,6 @@ points:
   its ``N``-th selection and returns the partial result flagged
   ``interrupted=True``, emulating any hook that asks a solve to halt
   without a run guard being configured;
-* ``worker_crash=p`` — before each parallel gain round, one worker
-  process is ``SIGKILL``-ed with probability ``p``, exercising the
-  pool's supervision/restart path;
-* ``recv_delay=s`` — the parent sleeps ``s`` seconds before collecting
-  a parallel round, emulating a slow worker;
 * ``checkpoint_write=p`` — a checkpoint write fails (before the atomic
   rename, so no partial file becomes visible) with probability ``p``;
 * ``malformed_record=p`` — each ingested clickstream line is corrupted
@@ -33,7 +28,7 @@ Injectors are activated either explicitly (``with inject_faults(inj):``)
 or ambiently through the ``REPRO_FAULTS`` environment variable, whose
 value is a ``key=value`` spec joined by ``:``, e.g.::
 
-    REPRO_FAULTS="worker_crash=0.05:recv_delay=0.001:seed=7"
+    REPRO_FAULTS="checkpoint_write=0.2:refresh_delay=0.001:seed=7"
 
 Everything is driven by one seeded :class:`random.Random`, so a given
 spec replays the identical fault sequence for the identical call
@@ -82,8 +77,6 @@ _SPEC_KEYS = {
     "seed": int,
     "kill_round": int,
     "stop_round": int,
-    "worker_crash": float,
-    "recv_delay": float,
     "checkpoint_write": float,
     "malformed_record": float,
     "refresh_crash": float,
@@ -102,10 +95,6 @@ class FaultInjector:
         stop_round: ask the solver to stop cooperatively after this
             many committed selections; the solve returns its partial
             result flagged ``interrupted=True`` (``None`` disables).
-        worker_crash: per-round probability of SIGKILLing one parallel
-            worker.
-        recv_delay: seconds the parent sleeps before collecting each
-            parallel round (``0`` disables).
         checkpoint_write: per-write probability of a simulated
             checkpoint write failure.
         malformed_record: per-line probability of corrupting an
@@ -126,15 +115,12 @@ class FaultInjector:
         seed: int = 0,
         kill_round: Optional[int] = None,
         stop_round: Optional[int] = None,
-        worker_crash: float = 0.0,
-        recv_delay: float = 0.0,
         checkpoint_write: float = 0.0,
         malformed_record: float = 0.0,
         refresh_crash: float = 0.0,
         refresh_delay: float = 0.0,
     ) -> None:
         for name, value in (
-            ("worker_crash", worker_crash),
             ("checkpoint_write", checkpoint_write),
             ("malformed_record", malformed_record),
             ("refresh_crash", refresh_crash),
@@ -144,10 +130,6 @@ class FaultInjector:
                     f"fault probability {name} must be in [0, 1], "
                     f"got {value}"
                 )
-        if recv_delay < 0:
-            raise ReproError(
-                f"recv_delay must be >= 0, got {recv_delay}"
-            )
         if refresh_delay < 0:
             raise ReproError(
                 f"refresh_delay must be >= 0, got {refresh_delay}"
@@ -163,8 +145,6 @@ class FaultInjector:
         self.seed = seed
         self.kill_round = kill_round
         self.stop_round = stop_round
-        self.worker_crash = worker_crash
-        self.recv_delay = recv_delay
         self.checkpoint_write = checkpoint_write
         self.malformed_record = malformed_record
         self.refresh_crash = refresh_crash
@@ -242,20 +222,6 @@ class FaultInjector:
     def checkpoint_write_fails(self) -> bool:
         """Whether the next checkpoint write should fail."""
         return self.fire("checkpoint_write", self.checkpoint_write)
-
-    def crash_worker_index(self, n_workers: int) -> Optional[int]:
-        """Index of the pool worker to SIGKILL this round (or ``None``)."""
-        if n_workers < 1:
-            return None
-        if not self.fire("worker_crash", self.worker_crash):
-            return None
-        return self.rng.randrange(n_workers)
-
-    def round_delay_s(self) -> float:
-        """Seconds to stall before collecting this parallel round."""
-        if self.recv_delay > 0:
-            self._count("recv_delay")
-        return self.recv_delay
 
     def refresh_fails(self) -> bool:
         """Whether this serving snapshot solve should fail."""

@@ -2,7 +2,7 @@
 
 Every test here asserts *equality* with an un-faulted run (the fault
 sequences are seeded and deterministic), plus the zero-leak guarantees:
-no surviving worker processes, no leaked ``/dev/shm`` segments, no
+no surviving child processes, no leaked ``/dev/shm`` segments, no
 stray temp checkpoint files.
 """
 
@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 from repro.core.greedy import greedy_solve
-from repro.core.parallel import ParallelGainEvaluator
 from repro.errors import ReproError
 from repro.resilience import Checkpointer, FaultInjector, inject_faults
 from repro.resilience.faults import InjectedCrash
@@ -84,46 +83,6 @@ class TestEnvActivation:
         assert ckpt.write_failures > 0
         assert list(tmp_path.glob("ckpt-*")) == []
         assert list(tmp_path.glob(".tmp-*")) == []
-
-
-class TestWorkerChaos:
-    @pytest.mark.parametrize("backend", ["pipe", "shm"])
-    def test_crashed_workers_do_not_change_results(
-        self, graph, backend, leak_check
-    ):
-        serial = greedy_solve(
-            graph, k=12, variant="independent", strategy="naive"
-        )
-        faults = FaultInjector(seed=3, worker_crash=0.4, recv_delay=0.001)
-        with inject_faults(faults):
-            with ParallelGainEvaluator(
-                graph, "independent", n_workers=2, backend=backend,
-                timeout_s=30.0, max_restarts=50,
-            ) as pool:
-                chaotic = greedy_solve(
-                    graph, k=12, variant="independent", strategy="naive",
-                    parallel=pool,
-                )
-                restarts = pool.restarts
-        assert faults.fired.get("worker_crash", 0) > 0
-        assert restarts >= faults.fired["worker_crash"]
-        assert chaotic.retained == serial.retained
-        assert chaotic.cover == serial.cover
-
-    def test_restart_budget_exhaustion_is_clean(self, graph, leak_check):
-        from repro.errors import SolverError
-
-        faults = FaultInjector(seed=1, worker_crash=1.0)
-        with inject_faults(faults):
-            with pytest.raises(SolverError, match="restart budget"):
-                with ParallelGainEvaluator(
-                    graph, "independent", n_workers=2, backend="pipe",
-                    timeout_s=10.0, max_restarts=1,
-                ) as pool:
-                    greedy_solve(
-                        graph, k=12, variant="independent",
-                        strategy="naive", parallel=pool,
-                    )
 
 
 class TestCrashResumeChaos:
@@ -209,35 +168,26 @@ class TestIngestionChaos:
 
 class TestFullChaosLeakFreedom:
     def test_chaos_sweep_leaves_nothing_behind(self, graph, tmp_path, leak_check):
-        # The combined scenario from the acceptance criteria: worker
-        # crashes + kill + flaky checkpoints, across both pool
-        # protocols, then a final leak sweep.
+        # The combined scenario: a kill plus flaky checkpoints, under
+        # both greedy strategies, then a final leak sweep.
         clean = greedy_solve(
             graph, k=10, variant="independent", strategy="naive"
         )
-        for backend in ("pipe", "shm"):
-            ckpt_dir = tmp_path / backend
+        for strategy in ("naive", "accelerated"):
+            ckpt_dir = tmp_path / strategy
             with pytest.raises(InjectedCrash):
                 with inject_faults(
                     FaultInjector(
-                        seed=7, kill_round=6, worker_crash=0.3,
-                        checkpoint_write=0.3,
+                        seed=7, kill_round=6, checkpoint_write=0.3,
                     )
                 ):
-                    with ParallelGainEvaluator(
-                        graph, "independent", n_workers=2,
-                        backend=backend, timeout_s=30.0,
-                        max_restarts=50,
-                    ) as pool:
-                        greedy_solve(
-                            graph, k=10, variant="independent",
-                            strategy="naive", parallel=pool,
-                            checkpoint=Checkpointer(
-                                ckpt_dir, every_rounds=1
-                            ),
-                        )
+                    greedy_solve(
+                        graph, k=10, variant="independent",
+                        strategy=strategy,
+                        checkpoint=Checkpointer(ckpt_dir, every_rounds=1),
+                    )
             resumed = greedy_solve(
-                graph, k=10, variant="independent", strategy="naive",
+                graph, k=10, variant="independent", strategy=strategy,
                 checkpoint=Checkpointer(ckpt_dir),
             )
             assert resumed.retained == clean.retained

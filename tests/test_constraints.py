@@ -6,7 +6,7 @@ from repro.core.cover import cover
 from repro.core.greedy import greedy_solve
 from repro.errors import SolverError
 
-STRATEGIES = ("naive", "lazy", "accelerated")
+STRATEGIES = ("naive", "accelerated")
 
 
 class TestMustRetain:
@@ -78,7 +78,6 @@ class TestExclude:
             for s in STRATEGIES
         ]
         assert results[0].retained == results[1].retained
-        assert results[1].retained == results[2].retained
 
     def test_figure1_excluding_best_pick(self, figure1, variant):
         # With B banned, the greedy must find the next-best pair.

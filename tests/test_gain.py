@@ -132,6 +132,13 @@ class TestGainsAll:
 
 
 class TestGainsRange:
+    """Gains of a contiguous candidate block ``[lo, hi)`` via
+    ``gains_all(candidates)`` equal the full sweep's slice."""
+
+    @staticmethod
+    def _block(state, lo, hi):
+        return state.gains_all(np.arange(lo, hi))
+
     def test_matches_full(self, medium_graph, variant):
         csr = as_csr(medium_graph)
         state = GreedyState(csr, variant)
@@ -140,25 +147,25 @@ class TestGainsRange:
         full = state.gains_all()
         for lo, hi in [(0, 100), (100, 350), (350, 500), (499, 500)]:
             np.testing.assert_allclose(
-                state.gains_range(lo, hi), full[lo:hi], atol=1e-12
+                self._block(state, lo, hi), full[lo:hi], atol=1e-12
             )
 
     def test_empty_range(self, small_graph, variant):
         state = GreedyState(as_csr(small_graph), variant)
-        assert state.gains_range(5, 5).size == 0
+        assert self._block(state, 5, 5).size == 0
 
     def test_empty_range_after_partial_solve(self, small_graph, variant):
         state = GreedyState(as_csr(small_graph), variant)
         for v in (0, 3):
             state.add_node(v)
         for lo in (0, 7, state.csr.n_items):
-            block = state.gains_range(lo, lo)
+            block = self._block(state, lo, lo)
             assert block.shape == (0,)
 
     def test_isolated_nodes_block(self, variant):
         # Nodes 2..4 have no in-edges: their gain is exactly their own
-        # deficit, and the block evaluation must not read neighboring
-        # edge slices.
+        # deficit, and the evaluation must not read neighboring edge
+        # slices.
         from repro.core.csr import CSRGraph
 
         csr = CSRGraph.from_arrays(
@@ -168,9 +175,9 @@ class TestGainsRange:
             np.array([0.5]),
         )
         state = GreedyState(csr, variant)
-        np.testing.assert_allclose(state.gains_range(2, 5), [0.2, 0.1, 0.1])
+        np.testing.assert_allclose(self._block(state, 2, 5), [0.2, 0.1, 0.1])
         state.add_node(3)
-        np.testing.assert_allclose(state.gains_range(2, 5), [0.2, 0.0, 0.1])
+        np.testing.assert_allclose(self._block(state, 2, 5), [0.2, 0.0, 0.1])
 
     def test_matches_full_after_partial_solve(self, medium_graph, variant):
         from repro.core.greedy import greedy_solve
@@ -184,5 +191,5 @@ class TestGainsRange:
         n = csr.n_items
         for lo, hi in [(0, n), (0, 1), (n - 1, n), (123, 457)]:
             np.testing.assert_allclose(
-                state.gains_range(lo, hi), full[lo:hi], atol=1e-12
+                self._block(state, lo, hi), full[lo:hi], atol=1e-12
             )

@@ -3,8 +3,8 @@
 Covers the Prometheus text rendering round-trip, the sidecar HTTP
 exporter, labeled-metric plumbing, histogram percentile edge cases,
 registry thread-safety under contention, and end-to-end trace
-correlation across the serving frontend, the snapshot service, the
-runtime's refresh episodes and the parallel worker protocol.
+correlation across the serving frontend, the snapshot service and the
+runtime's refresh episodes.
 """
 
 import asyncio
@@ -16,9 +16,6 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.core.csr import as_csr
-from repro.core.gain import GreedyState
-from repro.core.parallel import ParallelGainEvaluator
 from repro.observability import (
     COUNT_BUCKETS,
     Histogram,
@@ -359,32 +356,6 @@ class TestTraceCorrelation:
         assert "failed" in outcomes
         assert "short_circuited" in outcomes
 
-    @pytest.mark.parametrize("backend", ["shm", "pipe"])
-    def test_worker_rounds_carry_trace(self, event_log, backend):
-        graph = random_preference_graph(80, variant="independent", seed=7)
-        csr = as_csr(graph)
-        with ParallelGainEvaluator(
-            csr, "independent", n_workers=2, backend=backend
-        ) as pool:
-            state = GreedyState(csr, "independent")
-            with logs.span("test") as context:
-                pool.gains(state)
-        logs.reset_logging()
-        records = read_records(event_log)
-        rounds = [
-            r for r in records
-            if r["event"] == "round"
-            and logs.record_matches_trace(r, context.trace_id)
-        ]
-        assert rounds and rounds[0]["backend"] == backend
-        worker_rounds = [
-            r for r in records
-            if r["event"] == "worker_round"
-            and r.get("trace_id") == context.trace_id
-        ]
-        # Both workers log the round under the coordinator's trace.
-        assert len(worker_rounds) >= 2
-
     def test_disabled_sink_stays_silent(self, tmp_path):
         assert not logs.logging_enabled()
         service = make_service()
@@ -442,22 +413,6 @@ class TestSloInstruments:
         assert occupancy.total == 5
         bounds = [bound for bound, _ in occupancy.cumulative_buckets()]
         assert bounds == list(COUNT_BUCKETS)
-
-    def test_pool_utilization_observed(self):
-        from repro.observability import SolverTrace
-
-        graph = random_preference_graph(80, variant="independent", seed=7)
-        csr = as_csr(graph)
-        trace = SolverTrace()
-        with ParallelGainEvaluator(
-            csr, "independent", n_workers=2, backend="shm", tracer=trace
-        ) as pool:
-            state = GreedyState(csr, "independent")
-            pool.gains(state)
-        utilization = trace.metrics.histogram("parallel.pool_utilization")
-        assert utilization.count >= 1
-        assert 0.0 <= utilization.max <= 1.0
-        assert trace.metrics.gauge("parallel.pool_size").value == 2
 
 
 # ---------------------------------------------------------------------

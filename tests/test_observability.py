@@ -78,10 +78,10 @@ class TestMetricsRegistry:
     def test_summary_mentions_names(self):
         registry = MetricsRegistry()
         registry.incr("solver.iterations", 12)
-        registry.observe("lazy.reevaluations_per_iteration", 3)
+        registry.observe("accelerated.update_width", 3)
         text = registry.summary()
         assert "solver.iterations" in text
-        assert "lazy.reevaluations_per_iteration" in text
+        assert "accelerated.update_width" in text
 
 
 class TestSolverTrace:
@@ -174,7 +174,7 @@ class TestNullTracer:
 
 class TestSolverIntegration:
     def test_one_iteration_event_per_pick(self, figure1, variant):
-        for strategy in ("naive", "lazy", "accelerated"):
+        for strategy in ("naive", "accelerated"):
             trace = SolverTrace()
             result = greedy_solve(
                 figure1, k=3, variant=variant, strategy=strategy,
@@ -189,7 +189,7 @@ class TestSolverIntegration:
     def test_iteration_events_carry_gain_and_cover(self, figure1):
         trace = SolverTrace()
         result = greedy_solve(
-            figure1, k=3, variant="independent", strategy="lazy",
+            figure1, k=3, variant="independent", strategy="naive",
             tracer=trace,
         )
         events = trace.events_of("iteration")
@@ -206,15 +206,6 @@ class TestSolverIntegration:
         assert kinds[0] == "solve.start"
         assert kinds[-1] == "solve.end"
         assert kinds[1:-1] == ["iteration"] * 2
-
-    def test_lazy_counters(self, small_graph, variant):
-        trace = SolverTrace()
-        greedy_solve(
-            small_graph, k=5, variant=variant, strategy="lazy", tracer=trace
-        )
-        counters = trace.metrics.to_dict()["counters"]
-        assert counters["solver.iterations"] == 5
-        assert counters["lazy.heap_pops"] >= 5
 
     def test_accelerated_update_width_recorded(self, small_graph, variant):
         trace = SolverTrace()

@@ -256,10 +256,10 @@ class TestRunGuard:
 class TestFaultInjector:
     def test_spec_roundtrip(self):
         faults = FaultInjector.from_spec(
-            "worker_crash=0.25:recv_delay=0.5:seed=9:kill_round=3"
+            "checkpoint_write=0.25:refresh_delay=0.5:seed=9:kill_round=3"
         )
-        assert faults.worker_crash == 0.25
-        assert faults.recv_delay == 0.5
+        assert faults.checkpoint_write == 0.25
+        assert faults.refresh_delay == 0.5
         assert faults.seed == 9
         assert faults.kill_round == 3
 
@@ -267,15 +267,19 @@ class TestFaultInjector:
         with pytest.raises(ReproError, match="REPRO_FAULTS"):
             FaultInjector.from_spec("explode=1")
         with pytest.raises(ReproError, match="REPRO_FAULTS"):
-            FaultInjector.from_spec("worker_crash=lots")
+            FaultInjector.from_spec("checkpoint_write=lots")
+        # The worker-pool fault kinds went with the pool.
+        for spec in ("worker_crash=0.1", "recv_delay=0.001"):
+            with pytest.raises(ReproError, match="invalid REPRO_FAULTS"):
+                FaultInjector.from_spec(spec)
 
     def test_validation(self):
         with pytest.raises(ReproError, match="probability"):
-            FaultInjector(worker_crash=1.5)
+            FaultInjector(checkpoint_write=1.5)
         with pytest.raises(ReproError, match="kill_round"):
             FaultInjector(kill_round=0)
-        with pytest.raises(ReproError, match="recv_delay"):
-            FaultInjector(recv_delay=-1)
+        with pytest.raises(ReproError, match="refresh_delay"):
+            FaultInjector(refresh_delay=-1)
 
     def test_solver_round_kill(self):
         faults = FaultInjector(kill_round=3)
@@ -329,7 +333,7 @@ class TestFaultInjector:
 
 class TestResume:
     @pytest.mark.parametrize(
-        "strategy", ["naive", "lazy", "accelerated"]
+        "strategy", ["naive", "accelerated"]
     )
     def test_kill_resume_matches_clean(self, graph, tmp_path, strategy):
         clean = greedy_solve(
