@@ -13,6 +13,12 @@ A decay factor supports sliding-window semantics: with ``decay < 1``
 every existing count is multiplied by it once per :meth:`new_period`,
 so old behavior fades — the streaming counterpart of the drifting-market
 scenario.
+
+:meth:`OnlineAdaptationEngine.observe_all` folds a
+:class:`~repro.clickstream.models.Clickstream` from its integer
+encoding, one step per item and per (purchase, alternative) pair rather
+than per session, and the statistics come out bitwise equal to
+observing its sessions one by one.
 """
 
 from __future__ import annotations
@@ -20,11 +26,30 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, Hashable, Iterable, Optional, Tuple
 
+import numpy as np
+
 from ..core.graph import PreferenceGraph
 from ..core.variants import Variant
 from ..errors import AdaptationError
 from ..clickstream.models import Clickstream, Session
 from .engine import AdaptationConfig
+
+#: Integer-valued floats up to 2**53 are exact.
+_EXACT_INTEGERS = float(2 ** 53)
+
+
+def _plus_ones(value: float, n: int) -> float:
+    """``value`` after ``n`` running ``+= 1.0`` steps.
+
+    While the running value is an integer every step is exact, so the
+    steps add up to ``value + n`` at once; otherwise (a decayed count)
+    they are taken one by one, rounding as a running sum does.
+    """
+    if value.is_integer() and value + n <= _EXACT_INTEGERS:
+        return value + n
+    for _ in range(n):
+        value += 1.0
+    return value
 
 
 class OnlineAdaptationEngine:
@@ -78,9 +103,67 @@ class OnlineAdaptationEngine:
             self._click_only[clicked] = None
 
     def observe_all(self, sessions: Iterable[Session]) -> None:
-        """Fold many sessions (a Clickstream works directly)."""
+        """Fold many sessions, in order.
+
+        A :class:`Clickstream` is folded from its
+        :meth:`~Clickstream.encoding`, building no :class:`Session`.  One
+        in which distinct ids compare equal (``1`` and ``True``) goes
+        session by session instead, so each key keeps the id it was
+        first observed as.
+        """
+        if isinstance(sessions, Clickstream) and not sessions.aliased:
+            self._fold(sessions)
+            return
         for session in sessions:
             self.observe(session)
+
+    def _fold(self, stream: Clickstream) -> None:
+        """:meth:`observe` each session of ``stream``, on its encoding.
+
+        New keys enter each dict in the order :meth:`observe` would add
+        them: items by first purchase, pairs and click-only items by
+        first occurrence.  Each value receives its additions in session
+        order: a run of ``+= 1.0`` at once while the value is an
+        integer, and the Normalized ``1/t`` shares one by one.
+        """
+        encoding = stream.encoding()
+        self._observed_sessions += len(stream)
+        items = encoding.items
+        counts = encoding.purchase_counts().tolist()
+        purchases = self._purchases
+        for code in encoding.first_purchase_order().tolist():
+            item = items[code]
+            purchases[item] = _plus_ones(
+                purchases.get(item, 0.0), counts[code]
+            )
+
+        pairs = encoding.pairs()
+        keys = [
+            (items[source], items[target]) for source, target in zip(
+                pairs.source.tolist(), pairs.target.tolist()
+            )
+        ]
+        supports = pairs.support.tolist()
+        mass, support = self._click_mass, self._session_support
+        normalized = self.config.variant is Variant.NORMALIZED
+        for j in np.argsort(pairs.first).tolist():  # first-occurrence order
+            key = keys[j]
+            support[key] = _plus_ones(support.get(key, 0.0), supports[j])
+            if not normalized:
+                mass[key] = _plus_ones(mass.get(key, 0.0), supports[j])
+        if normalized:
+            # The 1/t shares, entry by entry in session order.
+            lengths = encoding.lengths()
+            lengths = lengths[lengths > 0]
+            shares = np.repeat(1.0 / lengths, lengths).tolist()
+            for j, share in zip(pairs.entry_pair.tolist(), shares):
+                key = keys[j]
+                mass[key] = mass.get(key, 0.0) + share
+
+        # Click-only candidates, in order of first click as an alternative.
+        codes, first = np.unique(encoding.alternatives, return_index=True)
+        codes = codes[np.argsort(first)].tolist()
+        self._click_only.update(dict.fromkeys(map(items.__getitem__, codes)))
 
     def new_period(self) -> None:
         """Apply the decay factor once (sliding-window semantics)."""

@@ -37,7 +37,9 @@ from typing import Dict, List, Optional, Union
 from ..errors import ClickstreamFormatError
 from ..observability import coerce_tracer
 from ..resilience.faults import active_faults
-from .models import Clickstream, Session
+from .models import (
+    Clickstream, RecordError, Session, SessionColumns, record_fields,
+)
 
 PathLike = Union[str, Path]
 
@@ -51,13 +53,17 @@ _SAMPLE_LIMIT = 5
 #: (prevents a bad first line from tripping a fractional budget).
 _BUDGET_MIN_RECORDS = 20
 
-#: Decodes one JSONL record (see :func:`_decode_line`).
-_raw_decode = json.JSONDecoder().raw_decode
 
-#: Types accepted as item / session identifiers.  A *string* ``clicks``
-#: value is specifically rejected: ``tuple("abc")`` silently explodes
-#: into per-character items.
-_SCALAR_TYPES = (str, int, float, bool)
+def _reject_constant(name: str):
+    """Refuse ``NaN``, ``Infinity`` and ``-Infinity``, which RFC 8259 lacks."""
+    raise ValueError(f"{name} is not a JSON value")
+
+
+#: Decodes one JSONL record (see :func:`_decode_line`).
+_raw_decode = json.JSONDecoder(parse_constant=_reject_constant).raw_decode
+
+#: Encodes one JSONL record; a NaN or infinite id raises ``ValueError``.
+_encode = json.JSONEncoder(allow_nan=False).encode
 
 
 def _bad_record(
@@ -176,7 +182,11 @@ def _check_on_error(on_error: str) -> None:
 # JSON lines
 # ----------------------------------------------------------------------
 def write_jsonl(clickstream: Clickstream, path: PathLike) -> None:
-    """Write one session per line as JSON."""
+    """Write one session per line as JSON.
+
+    A NaN or infinite id raises :class:`ClickstreamFormatError`: JSON
+    has no such values, and :func:`read_jsonl` rejects them.
+    """
     with open(path, "w", encoding="utf-8") as handle:
         for session in clickstream:
             record = {
@@ -184,7 +194,13 @@ def write_jsonl(clickstream: Clickstream, path: PathLike) -> None:
                 "clicks": list(session.clicks),
                 "purchase": session.purchase,
             }
-            handle.write(json.dumps(record) + "\n")
+            try:
+                line = _encode(record)
+            except ValueError as exc:
+                raise ClickstreamFormatError(
+                    f"session {session.session_id!r}: {exc}"
+                ) from exc
+            handle.write(line + "\n")
 
 
 def _decode_line(path: PathLike, line_no: int, line: str):
@@ -193,7 +209,7 @@ def _decode_line(path: PathLike, line_no: int, line: str):
     ``raw_decode`` skips the wrapper and whitespace scans of
     ``json.loads``; any line it rejects or does not consume whole is
     decoded again by ``json.loads``, so every rejection keeps its
-    message.
+    message.  Both attempts refuse ``NaN`` and ``Infinity``.
     """
     try:
         record, end = _raw_decode(line)
@@ -202,15 +218,15 @@ def _decode_line(path: PathLike, line_no: int, line: str):
     except ValueError:
         pass
     try:
-        return json.loads(line)
-    except json.JSONDecodeError as exc:
+        return json.loads(line, parse_constant=_reject_constant)
+    except ValueError as exc:
         raise _bad_record(
             path, line_no, "invalid-json", f"invalid JSON: {exc}"
         ) from exc
 
 
-def _session_from_jsonl(path: PathLike, line_no: int, line: str) -> Session:
-    """Parse and validate one JSONL record (raises on any defect)."""
+def _fields_from_jsonl(path: PathLike, line_no: int, line: str):
+    """Decode and check one JSONL record (raises on any defect)."""
     record = _decode_line(path, line_no, line)
     if not isinstance(record, dict):
         raise _bad_record(
@@ -218,44 +234,10 @@ def _session_from_jsonl(path: PathLike, line_no: int, line: str) -> Session:
             f"expected a JSON object per line, got "
             f"{type(record).__name__}",
         )
-    if "session_id" not in record or "clicks" not in record:
-        raise _bad_record(
-            path, line_no, "missing-fields",
-            "session must have 'session_id' and 'clicks'",
-        )
-    session_id = record["session_id"]
-    if not isinstance(session_id, _SCALAR_TYPES):
-        raise _bad_record(
-            path, line_no, "non-scalar-session-id",
-            f"'session_id' must be a scalar, got "
-            f"{type(session_id).__name__}",
-        )
-    clicks = record["clicks"]
-    if not isinstance(clicks, list):
-        # A string here is the classic silent corruption: tuple("abc")
-        # explodes into per-character phantom items.
-        raise _bad_record(
-            path, line_no, "clicks-not-a-list",
-            f"'clicks' must be a list of item ids, got "
-            f"{type(clicks).__name__}",
-        )
-    for click in clicks:
-        if not isinstance(click, _SCALAR_TYPES):
-            raise _bad_record(
-                path, line_no, "non-scalar-click",
-                f"click item ids must be scalars, got "
-                f"{type(click).__name__}",
-            )
-    purchase = record.get("purchase")
-    if purchase is not None and not isinstance(purchase, _SCALAR_TYPES):
-        raise _bad_record(
-            path, line_no, "non-scalar-purchase",
-            f"'purchase' must be a scalar item id or null, got "
-            f"{type(purchase).__name__}",
-        )
-    return Session(
-        session_id=session_id, clicks=tuple(clicks), purchase=purchase
-    )
+    try:
+        return record_fields(record)
+    except RecordError as defect:
+        raise _bad_record(path, line_no, defect.reason, str(defect)) from None
 
 
 def read_jsonl(
@@ -267,15 +249,18 @@ def read_jsonl(
 ) -> Clickstream:
     """Read a JSON-lines clickstream written by :func:`write_jsonl`.
 
-    Every record is validated before it becomes a
-    :class:`~repro.clickstream.models.Session`: ``clicks`` must be a
-    list of scalar item ids (a *string* value would silently explode
-    into per-character items) and ``session_id``/``purchase`` must be
-    scalars.  Defects raise :class:`ClickstreamFormatError` naming the
-    line under ``on_error="raise"``; the lenient policies (``"skip"`` /
+    Every record is validated before it joins the stream (see
+    :func:`~repro.clickstream.models.record_fields`): ``clicks`` must be
+    a list of scalar item ids (a *string* value would silently explode
+    into per-character items), ``session_id``/``purchase`` must be
+    scalars, and ``NaN``/``Infinity`` are not JSON.  Defects raise
+    :class:`ClickstreamFormatError` naming the line under
+    ``on_error="raise"``; the lenient policies (``"skip"`` /
     ``"quarantine"``) drop bad records, attach a
     :class:`QuarantineReport` to the result as ``.quarantine``, and
     abort only when more than ``error_budget`` of the input is bad.
+    Records go straight into the stream's columns; no
+    :class:`~repro.clickstream.models.Session` is built.
     """
     _check_on_error(on_error)
     tracer = coerce_tracer(tracer)
@@ -284,7 +269,8 @@ def read_jsonl(
         source=str(path), mode=on_error,
         error_budget=error_budget if on_error != "raise" else None,
     )
-    sessions: List[Session] = []
+    columns = SessionColumns()
+    add = columns.add
     with open(path, "r", encoding="utf-8", errors="replace") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
@@ -294,7 +280,9 @@ def read_jsonl(
                 line = faults.corrupt_record(line)
             report.total += 1
             try:
-                sessions.append(_session_from_jsonl(path, line_no, line))
+                session_id, clicks, purchase = _fields_from_jsonl(
+                    path, line_no, line
+                )
             except ClickstreamFormatError as error:
                 if on_error == "raise":
                     raise
@@ -302,8 +290,10 @@ def read_jsonl(
                 if tracer.enabled:
                     tracer.incr("ingest.quarantined")
                 report.check_budget()
+                continue
+            add(session_id, clicks, purchase)
     report.check_budget(final=True)
-    stream = Clickstream(sessions)
+    stream = Clickstream.from_columns(columns)
     stream.quarantine = report if on_error != "raise" else None
     return stream
 

@@ -9,18 +9,26 @@ purchase are the signal the Data Adaptation Engine consumes: the
 purchased item is the *desired* item, and clicked items are the
 alternatives the consumer considered.
 
-:class:`PurchaseEncoding` is the integer form of those purchasing
+A :class:`Clickstream` stores its sessions as columns: session ids, the
+item codes of all clicks with per-session offsets, one purchase code
+per session and the table of item ids by code.  :class:`Session`
+objects are built only when a stream is iterated or indexed.
+
+:class:`PurchaseEncoding` is the integer form of the purchasing
 sessions that the adaptation layer computes on: item ids interned to
 codes, one purchase code per session and the alternatives as CSR
-offsets plus codes.
+offsets plus codes.  :meth:`Clickstream.encoding` computes it from the
+columns with numpy.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import (
-    Dict, Hashable, Iterable, Iterator, List, NamedTuple, Optional, Tuple,
+    Dict, Hashable, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
+    Sequence, Tuple,
 )
 
 import numpy as np
@@ -60,12 +68,14 @@ class Session:
         """Distinct clicked items other than the purchase, in click order.
 
         These are the items the paper's construction treats as considered
-        alternatives to the desired (purchased) item.
+        alternatives to the desired (purchased) item.  Ids are compared
+        as dict keys are, so a click on the purchase object itself is
+        skipped even when it is a NaN, which never equals itself.
         """
-        seen = set()
+        seen = {self.purchase}
         result = []
         for item in self.clicks:
-            if item == self.purchase or item in seen:
+            if item in seen:
                 continue
             seen.add(item)
             result.append(item)
@@ -105,7 +115,8 @@ class PurchaseEncoding:
     ``alternatives[offsets[i]:offsets[i + 1]]`` are the codes of
     :meth:`Session.alternatives`, in the same order.  Browse-only
     sessions have no row.  Ids that compare equal (``1`` and ``True``)
-    share one code, as they share one dict key.
+    share one code, as they share one dict key; ``items`` holds the
+    first of them in that reading order.
     """
 
     def __init__(
@@ -126,7 +137,12 @@ class PurchaseEncoding:
 
     @classmethod
     def from_sessions(cls, sessions: Iterable[Session]) -> "PurchaseEncoding":
-        """Encode ``sessions``, calling :meth:`Session.alternatives` once each."""
+        """Encode ``sessions``, calling :meth:`Session.alternatives` once each.
+
+        The reference definition: :meth:`Clickstream.encoding` computes
+        the same encoding from its columns, and the tests hold the two
+        equal.
+        """
         sequence: List[ItemId] = []  # purchase, then alternatives, per row
         lengths: List[int] = []
         for session in sessions:
@@ -211,65 +227,289 @@ class PurchaseEncoding:
         )
 
 
-class Clickstream:
-    """A collection of sessions with summary accessors.
+# ----------------------------------------------------------------------
+# Session records and columns
+# ----------------------------------------------------------------------
+#: Types accepted as item / session identifiers.  A *string* ``clicks``
+#: value is specifically rejected: ``tuple("abc")`` silently explodes
+#: into per-character items.
+_SCALAR_TYPES = (str, int, float, bool)
 
-    Iterable and indexable; construction validates that session ids are
-    unique so downstream joins are unambiguous.
+#: Marks a record field that must be present.
+_REQUIRED = object()
+
+#: First element of the interning key of an item id that is not a str.
+_TAGGED = object()
+
+#: The purchase of a browse-only session in :attr:`SessionColumns.sequence`.
+_NO_PURCHASE = object()
+
+
+class RecordError(ClickstreamFormatError):
+    """A session record failed a shape check.
+
+    ``reason`` is the tag a lenient reader counts the record under; the
+    caller adds the record's location to the message.
+    """
+
+    def __init__(self, reason: str, detail: str) -> None:
+        super().__init__(detail)
+        self.reason = reason
+
+
+def record_fields(
+    record: Mapping, default_id=_REQUIRED
+) -> Tuple[Hashable, list, Optional[ItemId]]:
+    """Check one session record; return its id, clicks and purchase.
+
+    ``clicks`` must be a list of scalar item ids (a *string* value would
+    silently explode into per-character items), ``session_id`` and
+    ``purchase`` must be scalars, and ``purchase`` may be missing or
+    null.  A missing ``session_id`` takes ``default_id`` when one is
+    given.  Raises :class:`RecordError` on the first defect.
+    """
+    session_id = record.get("session_id", default_id)
+    clicks = record.get("clicks", _REQUIRED)
+    if session_id is _REQUIRED or clicks is _REQUIRED:
+        raise RecordError(
+            "missing-fields",
+            "session must have 'session_id' and 'clicks'"
+            if default_id is _REQUIRED else "session must have 'clicks'",
+        )
+    if not isinstance(session_id, _SCALAR_TYPES):
+        raise RecordError(
+            "non-scalar-session-id",
+            f"'session_id' must be a scalar, got "
+            f"{type(session_id).__name__}",
+        )
+    if not isinstance(clicks, list):
+        raise RecordError(
+            "clicks-not-a-list",
+            f"'clicks' must be a list of item ids, got "
+            f"{type(clicks).__name__}",
+        )
+    for click in clicks:
+        if not isinstance(click, _SCALAR_TYPES):
+            raise RecordError(
+                "non-scalar-click",
+                f"click item ids must be scalars, got "
+                f"{type(click).__name__}",
+            )
+    purchase = record.get("purchase")
+    if purchase is not None and not isinstance(purchase, _SCALAR_TYPES):
+        raise RecordError(
+            "non-scalar-purchase",
+            f"'purchase' must be a scalar item id or null, got "
+            f"{type(purchase).__name__}",
+        )
+    return session_id, clicks, purchase
+
+
+class _Interner(dict):
+    """Item id -> code, assigned in first-seen order.
+
+    A str id is its own key.  Any other id is keyed by its type as well
+    (a float also by its sign), so ids that compare equal without being
+    the same value (``1``, ``1.0`` and ``True``; ``0.0`` and ``-0.0``)
+    keep separate codes and every session reads back as it was added.
+    :meth:`classes` merges them for the encoding.  ``_NO_PURCHASE``
+    has code ``-1``.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self[_NO_PURCHASE] = -1
+        self.ids: List[ItemId] = []
+        self.tagged = False
+
+    def __missing__(self, item: ItemId) -> int:
+        if type(item) is str:
+            key = item
+        else:
+            sign = math.copysign(1.0, item) if isinstance(item, float) else 0
+            key = (_TAGGED, type(item), item, sign)
+            code = self.get(key)
+            if code is not None:
+                return code
+            self.tagged = True
+        code = self[key] = len(self.ids)
+        self.ids.append(item)
+        return code
+
+    def classes(self) -> Optional[np.ndarray]:
+        """Code -> code of its equality class, in first-seen order.
+
+        ``None`` when no two ids compare equal, so that each code is its
+        own class.
+        """
+        if not self.tagged:
+            return None
+        index: Dict[ItemId, int] = {}
+        classes = [index.setdefault(item, len(index)) for item in self.ids]
+        if len(index) == len(classes):
+            return None
+        return np.array(classes, dtype=_code_dtype(len(classes)))
+
+
+class SessionColumns:
+    """Sessions as appended, before :class:`Clickstream` interns them.
+
+    ``sequence`` holds each session's clicks and then its purchase
+    (``_NO_PURCHASE`` when it bought nothing), and ``lengths[i]`` is
+    the number of clicks of session ``i``.
+    """
+
+    def __init__(self) -> None:
+        self.session_ids: List[Hashable] = []
+        self.sequence: List[ItemId] = []
+        self.lengths: List[int] = []
+
+    def add(
+        self,
+        session_id: Hashable,
+        clicks: Sequence[ItemId],
+        purchase: Optional[ItemId],
+    ) -> None:
+        """Append one session."""
+        sequence = self.sequence
+        self.session_ids.append(session_id)
+        sequence.extend(clicks)
+        sequence.append(_NO_PURCHASE if purchase is None else purchase)
+        self.lengths.append(len(clicks))
+
+
+class Clickstream:
+    """A collection of sessions, stored as columns.
+
+    Iterable and indexable: both build :class:`Session` objects on
+    demand.  The counts, :meth:`items`, :meth:`purchase_counts` and
+    :meth:`encoding` read the columns and build none.  Construction
+    validates that session ids are unique so downstream joins are
+    unambiguous.
     """
 
     def __init__(self, sessions: Iterable[Session]) -> None:
-        self._sessions: List[Session] = list(sessions)
+        columns = SessionColumns()
+        add = columns.add
+        for session in sessions:
+            add(session.session_id, session.clicks, session.purchase)
+        self._load(columns)
+
+    @classmethod
+    def from_columns(cls, columns: SessionColumns) -> "Clickstream":
+        """The clickstream of ``columns``; what the readers build."""
+        stream = cls.__new__(cls)
+        stream._load(columns)
+        return stream
+
+    def _load(self, columns: SessionColumns) -> None:
+        session_ids = columns.session_ids
+        if len(set(session_ids)) != len(session_ids):
+            seen = set()
+            for session_id in session_ids:
+                if session_id in seen:
+                    raise ClickstreamFormatError(
+                        f"duplicate session id {session_id!r}"
+                    )
+                seen.add(session_id)
+        # Item ids get codes in first-seen order, reading each session's
+        # clicks and then its purchase: the order of items().
+        interner = _Interner()
+        sequence = columns.sequence
+        codes = np.fromiter(
+            map(interner.__getitem__, sequence),
+            dtype=_code_dtype(len(sequence)), count=len(sequence),
+        )
+        n = len(session_ids)
+        self._offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(
+            np.array(columns.lengths, dtype=np.int64), out=self._offsets[1:]
+        )
+        slots = self._offsets[1:] + np.arange(n)  # each session's purchase
+        self._session_ids = session_ids
+        self._ids = interner.ids
+        self._classes = interner.classes()
+        self._purchases = codes[slots]
+        is_click = np.ones(codes.size, dtype=bool)
+        is_click[slots] = False
+        self._clicks = codes[is_click]
         self._encoding: Optional[PurchaseEncoding] = None
-        ids = set()
-        for session in self._sessions:
-            if session.session_id in ids:
-                raise ClickstreamFormatError(
-                    f"duplicate session id {session.session_id!r}"
-                )
-            ids.add(session.session_id)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._sessions)
+        return len(self._session_ids)
 
     def __iter__(self) -> Iterator[Session]:
-        return iter(self._sessions)
+        table = [*self._ids, None]  # purchase code -1 reads as None
+        clicks = list(map(table.__getitem__, self._clicks.tolist()))
+        begin = 0
+        for session_id, end, purchase in zip(
+            self._session_ids, self._offsets[1:].tolist(),
+            self._purchases.tolist(),
+        ):
+            yield Session(session_id, tuple(clicks[begin:end]), table[purchase])
+            begin = end
 
-    def __getitem__(self, index: int) -> Session:
-        return self._sessions[index]
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        session_id = self._session_ids[index]
+        if index < 0:
+            index += len(self)
+        begin, end = self._offsets[index:index + 2].tolist()
+        ids = self._ids
+        purchase = int(self._purchases[index])
+        return Session(
+            session_id,
+            tuple(map(ids.__getitem__, self._clicks[begin:end].tolist())),
+            None if purchase < 0 else ids[purchase],
+        )
 
     @property
     def n_sessions(self) -> int:
         """Total number of sessions (with or without purchase)."""
-        return len(self._sessions)
+        return len(self._session_ids)
 
     @property
     def n_purchases(self) -> int:
         """Number of sessions ending with a purchase."""
-        return sum(1 for s in self._sessions if s.has_purchase)
+        return int(np.count_nonzero(self._purchases >= 0))
+
+    @property
+    def aliased(self) -> bool:
+        """Whether two distinct item ids compare equal (``1``, ``True``)."""
+        return self._classes is not None
 
     def purchasing_sessions(self) -> "Clickstream":
         """The sub-stream of sessions that ended with a purchase."""
-        return Clickstream(s for s in self._sessions if s.has_purchase)
+        return Clickstream(s for s in self if s.has_purchase)
 
     def items(self) -> List[ItemId]:
-        """All distinct item ids appearing anywhere, in first-seen order."""
-        seen: Dict[ItemId, None] = {}
-        for session in self._sessions:
-            for item in session.clicks:
-                seen.setdefault(item, None)
-            if session.purchase is not None:
-                seen.setdefault(session.purchase, None)
-        return list(seen)
+        """All distinct item ids appearing anywhere, in first-seen order.
+
+        Of ids that compare equal, the first one seen stands for all.
+        """
+        if self._classes is None:
+            return list(self._ids)
+        _, first = np.unique(self._classes, return_index=True)
+        return [self._ids[code] for code in first.tolist()]
 
     def purchase_counts(self) -> Counter:
-        """Counter of purchases per item."""
-        counts: Counter = Counter()
-        for session in self._sessions:
-            if session.purchase is not None:
-                counts[session.purchase] += 1
-        return counts
+        """Counter of purchases per item, in order of first purchase."""
+        purchased = self._purchases[self._purchases >= 0]
+        classes = (
+            purchased if self._classes is None else self._classes[purchased]
+        )
+        _, first, counts = np.unique(
+            classes, return_index=True, return_counts=True
+        )
+        order = np.argsort(first)
+        ids = self._ids
+        return Counter({
+            ids[code]: count for code, count in zip(
+                purchased[first[order]].tolist(), counts[order].tolist()
+            )
+        })
 
     def encoding(self) -> PurchaseEncoding:
         """Integer encoding of the purchasing sessions.
@@ -279,8 +519,85 @@ class Clickstream:
         adaptation engine share one encoding per stream.
         """
         if self._encoding is None:
-            self._encoding = PurchaseEncoding.from_sessions(self._sessions)
+            self._encoding = self._encode()
         return self._encoding
+
+    def _encode(self) -> PurchaseEncoding:
+        """:meth:`PurchaseEncoding.from_sessions` of the stream, on its columns.
+
+        A row keeps the first click on each item other than its
+        purchase, ids that compare equal share a code, and codes follow
+        first appearance in the rows' (purchase, alternatives) sequence.
+        Temporaries are as narrow as the codes and are dropped once used.
+        """
+        classes = self._classes
+        n_classes = len(self._ids) if classes is None else int(classes.max()) + 1
+        purchases = self._purchases
+        is_row = purchases >= 0
+        n_rows = int(np.count_nonzero(is_row))
+        lengths = np.diff(self._offsets)
+        clicks = self._clicks[np.repeat(is_row, lengths)]
+        row = np.repeat(
+            np.arange(n_rows, dtype=_code_dtype(n_rows)), lengths[is_row]
+        )
+        purchase = purchases[is_row]
+        del is_row, lengths
+        if classes is None:
+            click_class, purchase_class = clicks, purchase
+        else:
+            click_class, purchase_class = classes[clicks], classes[purchase]
+
+        # Drop the clicks on a row's own purchase.
+        keep = click_class != purchase_class[row]
+        clicks, row = clicks[keep], row[keep]
+        click_class = clicks if classes is None else click_class[keep]
+
+        # Keep a row's first click on each item: a stable sort by
+        # (row, item) puts repeated clicks right after the first one.
+        key = row.astype(_code_dtype(n_rows * n_classes))
+        key *= n_classes
+        key += click_class
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.empty(key.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        del key
+        keep = np.empty_like(first)
+        keep[order] = first
+        del order, first
+        clicks, row = clicks[keep], row[keep]
+        click_class = clicks if classes is None else click_class[keep]
+        del keep
+        offsets = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row, minlength=n_rows), out=offsets[1:])
+
+        # Codes follow first appearance in the sequence of rows, each its
+        # purchase and then its alternatives: the purchase of row r sits
+        # at offsets[r] + r and alternative j at j + row[j] + 1.
+        end = n_rows + clicks.size
+        first_at = np.full(n_classes, end, dtype=np.int64)
+        purchase_at = offsets[:-1] + np.arange(n_rows)
+        np.minimum.at(first_at, purchase_class, purchase_at)
+        alternative_at = np.arange(1, clicks.size + 1, dtype=np.int64)
+        alternative_at += row
+        del row
+        np.minimum.at(first_at, click_class, alternative_at)
+        seen = np.flatnonzero(first_at < end)
+        seen = seen[np.argsort(first_at[seen])]
+        dtype = _code_dtype(seen.size)
+        code = np.empty(n_classes, dtype=dtype)
+        code[seen] = np.arange(seen.size, dtype=dtype)
+        if classes is not None:
+            # Of ids that compare equal, the one read first stands for all.
+            sequence = np.empty(end, dtype=clicks.dtype)
+            sequence[purchase_at] = purchase
+            sequence[alternative_at] = clicks
+            seen = sequence[first_at[seen]]
+        items = tuple(map(self._ids.__getitem__, seen.tolist()))
+        return PurchaseEncoding(
+            items, code[purchase_class], offsets, code[click_class]
+        )
 
     def stats(self) -> Dict[str, int]:
         """Table 2-style summary: sessions, purchases, items."""
@@ -292,7 +609,7 @@ class Clickstream:
 
     def extend(self, other: "Clickstream") -> "Clickstream":
         """Concatenate two clickstreams into a new one."""
-        return Clickstream(list(self._sessions) + list(other._sessions))
+        return Clickstream([*self, *other])
 
     def __repr__(self) -> str:
         return (
@@ -301,23 +618,28 @@ class Clickstream:
         )
 
 
-def sessions_from_dicts(records: Iterable[dict]) -> Clickstream:
+def sessions_from_dicts(records: Iterable[Mapping]) -> Clickstream:
     """Build a clickstream from ``{"clicks": [...], "purchase": ...}`` dicts.
 
     Missing ``session_id`` fields are auto-numbered.  This is the format
-    used by :func:`repro.examples_data.figure3_sessions`.
+    used by :func:`repro.examples_data.figure3_sessions`.  Records get
+    the checks of :func:`~repro.clickstream.io.read_jsonl`
+    (:func:`record_fields`); a defect raises
+    :class:`ClickstreamFormatError` naming the record index, with the
+    reader's reason tag as ``.reason``.
     """
-    sessions = []
-    for i, record in enumerate(records):
-        if "clicks" not in record:
-            raise ClickstreamFormatError(
-                f"session record {i} lacks a 'clicks' field"
-            )
-        sessions.append(
-            Session(
-                session_id=record.get("session_id", i),
-                clicks=tuple(record["clicks"]),
-                purchase=record.get("purchase"),
-            )
-        )
-    return Clickstream(sessions)
+    columns = SessionColumns()
+    for index, record in enumerate(records):
+        try:
+            if not isinstance(record, Mapping):
+                raise RecordError(
+                    "not-an-object",
+                    f"expected a mapping, got {type(record).__name__}",
+                )
+            fields = record_fields(record, default_id=index)
+        except RecordError as defect:
+            raise RecordError(
+                defect.reason, f"session record {index}: {defect}"
+            ) from None
+        columns.add(*fields)
+    return Clickstream.from_columns(columns)

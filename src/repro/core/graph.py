@@ -84,7 +84,7 @@ class PreferenceGraph:
             raise UnknownItemError(source)
         if target not in self._node_weight:
             raise UnknownItemError(target)
-        if source == target:
+        if source is target or source == target:  # `is` catches a NaN
             raise GraphValidationError(
                 f"self-edge on {source!r}: an item trivially covers itself"
             )

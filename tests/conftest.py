@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.clickstream.generator import ConsumerModel, ShopperConfig
-from repro.clickstream.models import PurchaseEncoding
+from repro.clickstream.models import Clickstream
 from repro.core.csr import CSRGraph
 from repro.core.graph import PreferenceGraph
 from repro.examples_data import figure1_graph, figure3_graph
@@ -75,13 +75,11 @@ def consumer_model_normalized() -> ConsumerModel:
 def encodings(monkeypatch):
     """Records every clickstream encoding built while the test runs."""
     calls = []
-    original = PurchaseEncoding.from_sessions.__func__
+    original = Clickstream._encode
 
-    def counting(cls, sessions):
+    def counting(stream):
         calls.append(1)
-        return original(cls, sessions)
+        return original(stream)
 
-    monkeypatch.setattr(
-        PurchaseEncoding, "from_sessions", classmethod(counting)
-    )
+    monkeypatch.setattr(Clickstream, "_encode", counting)
     return calls

@@ -8,15 +8,20 @@ stray temp checkpoint files.
 
 import multiprocessing as mp
 import os
+import re
 from pathlib import Path
 
 import pytest
 
+from repro.clickstream.io import read_jsonl, write_jsonl
+from repro.clickstream.models import PurchaseEncoding
 from repro.core.greedy import greedy_solve
 from repro.errors import ReproError
 from repro.resilience import Checkpointer, FaultInjector, inject_faults
-from repro.resilience.faults import InjectedCrash
+from repro.resilience.faults import InjectedCrash, active_faults
+from repro.workloads.datasets import build_dataset
 from repro.workloads.graphs import random_preference_graph
+from tests.test_fuzz_adaptation import encoding_layout
 
 _SHM_DIR = Path("/dev/shm")
 
@@ -217,3 +222,34 @@ class TestAmbientChaosSmoke:
             return
         size = len(chaotic.retained)
         assert chaotic.retained == clean.retained[:size]
+
+    def test_ambient_quarantined_read(self, tmp_path):
+        stream, _model = build_dataset("PE", scale=0.002, seed=17)
+        path = tmp_path / "stream.jsonl"
+        write_jsonl(stream, path)
+        with inject_faults(None):  # clean reference, chaos suppressed
+            clean = list(read_jsonl(path))
+        faults = active_faults()
+        before = faults.fired.get("malformed_record", 0) if faults else 0
+        result = read_jsonl(path, on_error="quarantine", error_budget=None)
+        corrupted = (
+            faults.fired.get("malformed_record", 0) if faults else 0
+        ) - before
+        report = result.quarantine
+        if faults is not None and faults.malformed_record > 0:
+            assert corrupted > 0  # the ambient spec really corrupted lines
+        # Every corrupted line is quarantined and nothing else is lost.
+        assert report.quarantined == corrupted
+        kept = {session.session_id for session in result}
+        dropped = [
+            line for line, session in enumerate(clean, start=1)
+            if session.session_id not in kept
+        ]
+        assert len(dropped) == corrupted
+        assert list(result) == [s for s in clean if s.session_id in kept]
+        named = [int(re.search(r":(\d+): ", sample)[1])
+                 for sample in report.samples]
+        assert named == dropped[:len(named)]
+        assert encoding_layout(result.encoding()) == encoding_layout(
+            PurchaseEncoding.from_sessions(list(result))
+        )

@@ -4,6 +4,9 @@ import json
 
 import pytest
 
+from repro.adaptation.online import OnlineAdaptationEngine
+from repro.cli import main
+from repro.clickstream import io as clickstream_io
 from repro.clickstream.io import (
     read_jsonl,
     read_yoochoose,
@@ -12,6 +15,8 @@ from repro.clickstream.io import (
 )
 from repro.clickstream.models import Clickstream, Session
 from repro.errors import ClickstreamFormatError
+from repro.pipeline import InventoryReducer
+from repro.workloads.datasets import build_dataset
 
 
 @pytest.fixture
@@ -222,6 +227,93 @@ class TestLenientJsonl:
         assert payload["quarantined"] == 1
         assert payload["total"] == 21
         assert payload["reasons"] == {"invalid-json": 1}
+
+
+class TestNonJsonConstants:
+    """``NaN`` and ``Infinity`` are not JSON; Python's decoder accepts them."""
+
+    LINES = (
+        '{"session_id": "s1", "clicks": [NaN, "b"], "purchase": NaN}\n'
+        '{"session_id": "s2", "clicks": ["a"], "purchase": "b"}\n'
+        '{"session_id": "s3", "clicks": [], "purchase": Infinity}\n'
+    )
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_rejected_as_invalid_json(self, tmp_path, constant):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '{"session_id": "s1", "clicks": ["a"], "purchase": "a"}\n'
+            f'{{"session_id": "s2", "clicks": [{constant}], "purchase": "a"}}\n'
+        )
+        with pytest.raises(ClickstreamFormatError) as caught:
+            read_jsonl(path)
+        assert str(caught.value) == (
+            f"{path}:2: invalid JSON: {constant} is not a JSON value"
+        )
+        assert caught.value.reason == "invalid-json"
+
+    def test_fallback_decode_rejects_too(self, tmp_path, monkeypatch):
+        # Lines that raw_decode refuses are decoded again by json.loads.
+        def refuse(line):
+            raise ValueError("refused")
+
+        monkeypatch.setattr(clickstream_io, "_raw_decode", refuse)
+        path = tmp_path / "bad.jsonl"
+        path.write_text(self.LINES)
+        loaded = read_jsonl(path, on_error="skip", error_budget=None)
+        assert [s.session_id for s in loaded] == ["s2"]
+        assert loaded.quarantine.reasons == {"invalid-json": 2}
+
+    def test_no_nan_self_edge(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(self.LINES)
+        loaded = read_jsonl(path, on_error="quarantine", error_budget=None)
+        assert loaded.quarantine.reasons == {"invalid-json": 2}
+        with pytest.warns(RuntimeWarning):  # k clamped to the one item
+            report = InventoryReducer(k=2, variant="independent").run(loaded)
+        assert list(report.retained) == ["b"]
+        assert report.graph.n_edges == 0
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_write_refuses_non_finite_ids(self, tmp_path, value):
+        stream = Clickstream([Session("s1", (value,), purchase="a")])
+        with pytest.raises(ClickstreamFormatError, match="'s1'"):
+            write_jsonl(stream, tmp_path / "out.jsonl")
+
+
+class TestBatchPathBuildsNoSession:
+    """The batch consumers read a stream's columns, never its sessions."""
+
+    @pytest.fixture
+    def path(self, tmp_path, monkeypatch):
+        stream, _model = build_dataset("PE", scale=0.002, seed=5)
+        path = tmp_path / "pe.jsonl"
+        write_jsonl(stream, path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Session was built")
+
+        monkeypatch.setattr(Session, "__init__", refuse)
+        return path
+
+    def test_stats(self, path, capsys):
+        assert main(["stats", "--clickstream", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["sessions"] > 0
+
+    def test_build_graph_auto(self, path, tmp_path):
+        assert main([
+            "build-graph", str(path), "--variant", "auto",
+            "-o", str(tmp_path / "graph.json"),
+        ]) == 0
+
+    def test_pipeline_run(self, path):
+        report = InventoryReducer(k=10, variant="auto").run(read_jsonl(path))
+        assert len(report.retained) == 10
+
+    def test_observe_all(self, path):
+        engine = OnlineAdaptationEngine()
+        engine.observe_all(read_jsonl(path))
+        assert engine.snapshot().n_items > 0
 
 
 class TestYoochoose:

@@ -1,7 +1,10 @@
 """Tests for the clickstream data model."""
 
+import json
+
 import pytest
 
+from repro.clickstream.io import read_jsonl
 from repro.clickstream.models import Clickstream, Session, sessions_from_dicts
 from repro.errors import ClickstreamFormatError
 
@@ -14,6 +17,11 @@ class TestSession:
     def test_alternatives_deduplicates_in_order(self):
         session = Session("s1", clicks=("b", "a", "b", "a"), purchase="p")
         assert session.alternatives() == ("b", "a")
+
+    def test_click_on_a_nan_purchase_skipped(self):
+        nan = float("nan")  # one object: nan != nan, but it is itself
+        session = Session("s1", clicks=(nan, "b", nan), purchase=nan)
+        assert session.alternatives() == ("b",)
 
     def test_browse_only(self):
         session = Session("s1", clicks=("a",))
@@ -141,20 +149,15 @@ class TestPurchaseEncoding:
         assert pairs.entry_pair.tolist() == [0, 1, 5, 4, 2, 3]
         assert stream.encoding().pairs() is pairs
 
-    def test_built_once_with_one_alternatives_call_per_row(
-        self, stream, monkeypatch
-    ):
-        calls = []
-        original = Session.alternatives
+    def test_built_once_without_sessions(self, stream, monkeypatch, encodings):
+        def no_sessions(*args, **kwargs):
+            raise AssertionError("the encoding built a Session")
 
-        def counting(session):
-            calls.append(session.session_id)
-            return original(session)
-
-        monkeypatch.setattr(Session, "alternatives", counting)
+        monkeypatch.setattr(Session, "__init__", no_sessions)
+        monkeypatch.setattr(Session, "alternatives", no_sessions)
         encoding = stream.encoding()
         assert stream.encoding() is encoding
-        assert calls == ["s1", "s3", "s4", "s5"]
+        assert len(encodings) == 1
 
     def test_arrays_are_readonly(self, stream):
         encoding = stream.encoding()
@@ -187,5 +190,49 @@ class TestSessionsFromDicts:
         assert stream[0].session_id == "x"
 
     def test_missing_clicks_rejected(self):
-        with pytest.raises(ClickstreamFormatError, match="clicks"):
+        with pytest.raises(ClickstreamFormatError, match="clicks") as caught:
             sessions_from_dicts([{"purchase": "a"}])
+        assert caught.value.reason == "missing-fields"
+
+    def test_string_clicks_rejected(self):
+        # tuple("abc") would silently explode into per-character items.
+        with pytest.raises(ClickstreamFormatError) as caught:
+            sessions_from_dicts([{"clicks": "abc", "purchase": "x"}])
+        assert str(caught.value) == (
+            "session record 0: 'clicks' must be a list of item ids, got str"
+        )
+        assert caught.value.reason == "clicks-not-a-list"
+
+    def test_unhashable_purchase_rejected(self):
+        records = [
+            {"clicks": ["a"], "purchase": "b"},
+            {"clicks": [], "purchase": {"a": 1}},
+        ]
+        with pytest.raises(ClickstreamFormatError) as caught:
+            sessions_from_dicts(records)
+        assert str(caught.value) == (
+            "session record 1: 'purchase' must be a scalar item id or "
+            "null, got dict"
+        )
+        assert caught.value.reason == "non-scalar-purchase"
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"session_id": "s", "clicks": "abc"},
+            {"session_id": "s", "clicks": [["a"]]},
+            {"session_id": ["s"], "clicks": []},
+            {"session_id": "s", "clicks": [], "purchase": [1]},
+        ],
+    )
+    def test_same_checks_as_read_jsonl(self, tmp_path, record):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(ClickstreamFormatError) as from_file:
+            read_jsonl(path)
+        with pytest.raises(ClickstreamFormatError) as from_dicts:
+            sessions_from_dicts([record])
+        assert from_dicts.value.reason == from_file.value.reason
+        assert str(from_dicts.value).removeprefix("session record 0: ") == (
+            str(from_file.value).removeprefix(f"{path}:1: ")
+        )

@@ -12,15 +12,20 @@ The second half pins the array implementations of ``normalized_fit``,
 per-session loops below, which are the straightforward reading of the
 paper's Section 5.2 construction.  They must agree exactly: the same
 floats, the same item and edge order, the same tracer output and the
-same errors.
+same errors.  So must the columnar encoding of a ``Clickstream`` and
+``PurchaseEncoding.from_sessions``, and ``observe_all`` on a stream and
+one ``observe`` per session.
 """
 
 from __future__ import annotations
 
 import random
+import tempfile
 from collections import Counter, defaultdict
 from itertools import combinations
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -33,7 +38,8 @@ from repro.adaptation.variant_selection import (
     normalized_fit,
     recommend_variant,
 )
-from repro.clickstream.models import Clickstream, Session
+from repro.clickstream.io import read_jsonl, write_jsonl
+from repro.clickstream.models import Clickstream, PurchaseEncoding, Session
 from repro.core.graph import PreferenceGraph
 from repro.core.variants import Variant
 from repro.errors import AdaptationError
@@ -53,10 +59,17 @@ ITEM_IDS = st.one_of(
 )
 
 
+#: Ids that compare equal without being the same value: 1, 1.0 and
+#: True share a dict key, as do 0, 0.0 and False.
+ALIASED_IDS = st.sampled_from(
+    [0, 1, 2, 3, "a", "b", "c", 1.0, True, False, 0.0, 2.5]
+)
+
+
 @st.composite
-def sessions(draw, session_id=0):
-    clicks = draw(st.lists(ITEM_IDS, min_size=0, max_size=12))
-    choices = [st.none(), ITEM_IDS]
+def sessions(draw, session_id=0, ids=ITEM_IDS):
+    clicks = draw(st.lists(ids, min_size=0, max_size=12))
+    choices = [st.none(), ids]
     if clicks:
         choices.append(st.sampled_from(clicks))  # clicked its own purchase
     purchase = draw(st.one_of(*choices))
@@ -64,9 +77,13 @@ def sessions(draw, session_id=0):
 
 
 @st.composite
-def clickstreams(draw, max_size=30):
+def session_lists(draw, max_size=30, ids=ITEM_IDS):
     n = draw(st.integers(min_value=0, max_value=max_size))
-    return Clickstream([draw(sessions(session_id=i)) for i in range(n)])
+    return [draw(sessions(session_id=i, ids=ids)) for i in range(n)]
+
+
+def clickstreams(max_size=30):
+    return session_lists(max_size=max_size).map(Clickstream)
 
 
 # ----------------------------------------------------------------------
@@ -441,3 +458,169 @@ class TestDatasetsMatchReference:
         assert recommendation.independence_score == (
             reference_independence_score(dataset_stream)
         )
+
+
+# ----------------------------------------------------------------------
+# The columnar clickstream agrees with the per-session references
+# ----------------------------------------------------------------------
+def typed(value):
+    """``value`` with its type, so ``1``, ``1.0`` and ``True`` differ."""
+    if isinstance(value, tuple):
+        return tuple(typed(part) for part in value)
+    return (type(value), value)
+
+
+def encoding_layout(encoding):
+    return (
+        typed(encoding.items),
+        [
+            (name, array.dtype, array.tolist()) for name, array in (
+                ("purchase", encoding.purchase),
+                ("offsets", encoding.offsets),
+                ("alternatives", encoding.alternatives),
+            )
+        ],
+    )
+
+
+def session_layout(sessions):
+    return [
+        (typed(s.session_id), typed(s.clicks), typed(s.purchase))
+        for s in sessions
+    ]
+
+
+def round_trip(sessions):
+    """``sessions`` written by ``write_jsonl`` and read back."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "stream.jsonl"
+        write_jsonl(Clickstream(sessions), path)
+        return read_jsonl(path)
+
+
+class TestColumnarEncodingMatchesReference:
+    @SETTINGS
+    @given(st.one_of(
+        session_lists(max_size=40),
+        session_lists(max_size=40, ids=ALIASED_IDS),
+    ))
+    def test_from_sessions_and_from_jsonl(self, sessions):
+        expected = encoding_layout(PurchaseEncoding.from_sessions(sessions))
+        for stream in (Clickstream(sessions), round_trip(sessions)):
+            assert session_layout(stream) == session_layout(sessions)
+            assert [stream[i] for i in range(len(stream))] == sessions
+            assert encoding_layout(stream.encoding()) == expected
+
+    def test_dataset(self, dataset_stream):
+        sessions = list(dataset_stream)
+        assert encoding_layout(dataset_stream.encoding()) == encoding_layout(
+            PurchaseEncoding.from_sessions(sessions)
+        )
+
+    def test_equal_ids_from_jsonl(self, tmp_path):
+        path = tmp_path / "mixed.jsonl"
+        path.write_text(
+            '{"session_id": "b1", "clicks": [1.0, "x"], "purchase": null}\n'
+            '{"session_id": "p1", "clicks": [true, "y", 1], "purchase": "x"}\n'
+            '{"session_id": "p2", "clicks": ["x", 1.0], "purchase": 1}\n'
+            '{"session_id": "b2", "clicks": [0.0, true]}\n'
+            '{"session_id": "p3", "clicks": [], "purchase": 1.0}\n'
+            '{"session_id": "p4", "clicks": [false, 0, 0.0, "y", 1], '
+            '"purchase": true}\n'
+        )
+        stream = read_jsonl(path)
+        # The first of each equal group in (purchase, alternatives) order
+        # names the code; read order would pick 1.0 and 0.0 instead.
+        assert encoding_layout(stream.encoding()) == (
+            typed(("x", True, "y", False)),
+            [
+                ("purchase", np.dtype(np.int32), [0, 1, 1, 1]),
+                ("offsets", np.dtype(np.int64), [0, 2, 3, 3, 5]),
+                ("alternatives", np.dtype(np.int32), [1, 2, 0, 3, 2]),
+            ],
+        )
+        assert typed(tuple(stream.items())) == typed((1.0, "x", "y", 0.0))
+        counts = stream.purchase_counts()
+        assert typed(tuple(counts)) == typed(("x", 1))
+        assert list(counts.values()) == [1, 3]
+        assert session_layout(stream)[5] == typed(
+            ("p4", (False, 0, 0.0, "y", 1), True)
+        )
+        assert encoding_layout(stream.encoding()) == encoding_layout(
+            PurchaseEncoding.from_sessions(list(stream))
+        )
+
+
+def engine_state(engine):
+    """Every statistic of an online engine: keys with types, bitwise values."""
+    return (
+        [(typed(k), v.hex()) for k, v in engine._purchases.items()],
+        [(typed(k), v.hex()) for k, v in engine._click_mass.items()],
+        [(typed(k), v.hex()) for k, v in engine._session_support.items()],
+        [typed(k) for k in engine._click_only],
+        engine.observed_sessions,
+    )
+
+
+def snapshot_layout(engine):
+    try:
+        graph = engine.snapshot()
+    except AdaptationError as exc:
+        return ("error", str(exc))
+    return (
+        [(typed(item), graph.node_weight(item).hex()) for item in graph.items()],
+        [(typed(s), typed(t), w.hex()) for s, t, w in graph.edges()],
+    )
+
+
+def assert_fold_matches(config, decay, periods):
+    """observe_all per period == observe per session, with decay between."""
+    folded = OnlineAdaptationEngine(config, decay=decay)
+    stepped = OnlineAdaptationEngine(config, decay=decay)
+    for period in periods:
+        folded.new_period()
+        stepped.new_period()
+        folded.observe_all(Clickstream(period))
+        for session in period:
+            stepped.observe(session)
+    assert engine_state(folded) == engine_state(stepped)
+    assert snapshot_layout(folded) == snapshot_layout(stepped)
+
+
+class TestObserveAllMatchesObserve:
+    @SETTINGS
+    @given(
+        st.lists(
+            st.one_of(
+                session_lists(max_size=20),
+                session_lists(max_size=20, ids=ALIASED_IDS),
+            ),
+            min_size=1, max_size=4,
+        ),
+        st.sampled_from(list(Variant)),
+        st.sampled_from([1.0, 0.5, 0.3]),
+        st.sampled_from(CONFIGS),
+    )
+    def test_fold(self, periods, variant, decay, options):
+        assert_fold_matches(
+            AdaptationConfig(variant=variant, **options), decay, periods
+        )
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("decay", [1.0, 0.5, 0.3])
+    def test_dataset_in_periods(self, dataset_stream, variant, decay):
+        sessions = list(dataset_stream)
+        cuts = [0, len(sessions) // 2, 3 * len(sessions) // 4, len(sessions)]
+        periods = [sessions[a:b] for a, b in zip(cuts, cuts[1:])]
+        assert_fold_matches(AdaptationConfig(variant=variant), decay, periods)
+
+    def test_folds_without_sessions(self, dataset_stream, monkeypatch):
+        def no_sessions(*args, **kwargs):
+            raise AssertionError("observe_all built a Session")
+
+        stream = Clickstream(list(dataset_stream))
+        monkeypatch.setattr(Session, "__init__", no_sessions)
+        engine = OnlineAdaptationEngine()
+        engine.observe_all(stream)
+        assert engine.observed_sessions == len(stream)
+

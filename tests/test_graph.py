@@ -46,6 +46,12 @@ class TestConstruction:
         with pytest.raises(GraphValidationError, match="self-edge"):
             graph.add_edge("A", "A", 0.5)
 
+    def test_nan_self_edge_rejected(self):
+        nan = float("nan")  # nan != nan, but it is itself
+        graph = PreferenceGraph.from_weights({nan: 0.5, "B": 0.5})
+        with pytest.raises(GraphValidationError, match="self-edge"):
+            graph.add_edge(nan, nan, 0.5)
+
     @pytest.mark.parametrize("weight", [0.0, -0.5, 1.5, float("nan")])
     def test_bad_edge_weight_rejected(self, graph, weight):
         with pytest.raises(GraphValidationError):
