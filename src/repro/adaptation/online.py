@@ -24,6 +24,7 @@ observing its sessions one by one.
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import chain, repeat
 from typing import Dict, Hashable, Iterable, Optional, Tuple
 
 import numpy as np
@@ -180,7 +181,10 @@ class OnlineAdaptationEngine:
         """The preference graph implied by the statistics so far.
 
         Equivalent to running the batch engine over every observed
-        session (scaled by decay, when enabled).
+        session (scaled by decay, when enabled).  The graph is emitted
+        in bulk form with numpy, and equals the one ``add_item`` over
+        the purchased items (then the click-only ones) and ``add_edge``
+        over the kept pairs, in pair order, would build.
         """
         config = self.config
         total = sum(self._purchases.values())
@@ -188,23 +192,38 @@ class OnlineAdaptationEngine:
             raise AdaptationError(
                 "no purchasing sessions observed yet; cannot snapshot"
             )
-        graph = PreferenceGraph()
-        for item, count in self._purchases.items():
-            graph.add_item(item, count / total)
+        items = list(self._purchases)
+        counts = np.fromiter(self._purchases.values(), np.float64, len(items))
+        node_weight = counts / total
         if config.include_unpurchased:
-            for item in self._click_only:
-                if item not in graph:
-                    graph.add_item(item, 0.0)
-        for (desired, clicked), mass in self._click_mass.items():
-            if desired not in graph or clicked not in graph:
-                continue
-            support = self._session_support[(desired, clicked)]
-            if support < config.min_edge_sessions:
-                continue
-            weight = config.correction_factor * mass / (
-                self._purchases[desired] + config.laplace_alpha
+            purchased = self._purchases
+            items += [
+                item for item in self._click_only if item not in purchased
+            ]
+            node_weight = np.concatenate(
+                (node_weight, np.zeros(len(items) - counts.size))
             )
-            if weight <= config.min_edge_weight:
-                continue
-            graph.add_edge(desired, clicked, min(weight, 1.0))
-        return graph
+        index = dict(zip(items, range(len(items))))
+        pairs = self._click_mass
+        m = len(pairs)
+        # Index of each pair's desired and clicked item, -1 if not a node.
+        ends = np.fromiter(
+            map(index.get, chain.from_iterable(pairs), repeat(-1)),
+            np.int64, 2 * m,
+        )
+        src, dst = ends[0::2], ends[1::2]
+        mass = np.fromiter(pairs.values(), np.float64, m)
+        # observe() and _fold() add each new pair to both dicts, in the
+        # same order, so their values line up.
+        support = np.fromiter(self._session_support.values(), np.float64, m)
+        kept = (src >= 0) & (dst >= 0) & ~(support < config.min_edge_sessions)
+        src, dst = src[kept], dst[kept]
+        # Every desired item was purchased, so its index is in counts.
+        weight = config.correction_factor * mass[kept] / (
+            counts[src] + config.laplace_alpha
+        )
+        kept = ~(weight <= config.min_edge_weight)
+        return PreferenceGraph._from_arrays(
+            items, node_weight, src[kept], dst[kept],
+            np.minimum(weight[kept], 1.0), index,
+        )

@@ -18,11 +18,13 @@ ground-truth preference graph, which is exactly what
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Hashable, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
 from .._rng import SeedLike, resolve_rng, spawn_rng
+from ..core.csr import as_csr, key_positions
 from ..core.graph import PreferenceGraph
 from ..errors import ClickstreamFormatError
 from .generator import ConsumerModel, ShopperConfig
@@ -97,15 +99,21 @@ class GraphDelta:
     def apply_to(self, graph: PreferenceGraph) -> PreferenceGraph:
         """Apply every update to ``graph`` in place and return it.
 
-        Removals run last so an update+removal pair in one delta nets to
-        the removal (matching how :func:`graph_delta` emits diffs).
+        Node weights go first (new items are appended in delta order),
+        then edge upserts (an existing edge keeps its position, a new
+        one is appended), and removals run last, so an update+removal
+        pair in one delta nets to the removal (matching how
+        :func:`graph_delta` emits diffs).
+
+        All or nothing: the whole delta is checked before the graph
+        changes, so a bad entry raises the error ``add_item``,
+        ``add_edge`` or ``remove_edge`` would raise for it and leaves
+        ``graph`` as it was.  A graph in bulk form has the delta merged
+        into new arrays and builds no dicts.
         """
-        for item, weight in self.node_weights.items():
-            graph.add_item(item, weight)
-        for source, target, weight in self.edge_updates:
-            graph.add_edge(source, target, weight)
-        for source, target in self.edge_removals:
-            graph.remove_edge(source, target)
+        graph._apply_updates(
+            self.node_weights, self.edge_updates, self.edge_removals
+        )
         return graph
 
     # -- wire form (the delta-feed transport) ---------------------------
@@ -182,30 +190,55 @@ def graph_delta(
     system); an item present in ``old`` but absent from ``new`` raises
     :class:`~repro.errors.ClickstreamFormatError` to surface corrupt
     feeds early.
+
+    The diff runs on the two graphs' cached CSR forms.  Node weights
+    come in ``new``'s item order, edge updates in ``new``'s out-row
+    order and removals in ``old``'s, with Python floats; items are
+    matched by dict lookup (so ``1`` and ``1.0`` are one item).
     """
-    node_weights = {}
-    for item in new.items():
-        weight = new.node_weight(item)
-        if item not in old or old.node_weight(item) != weight:
-            node_weights[item] = weight
-    for item in old.items():
-        if item not in new:
-            raise ClickstreamFormatError(
-                f"delta feed cannot express removal of item {item!r}"
-            )
-    edge_updates = []
-    edge_removals = []
-    for source, target, weight in new.edges():
-        if not old.has_edge(source, target) \
-                or old.edge_weight(source, target) != weight:
-            edge_updates.append((source, target, weight))
-    for source, target, _ in old.edges():
-        if not new.has_edge(source, target):
-            edge_removals.append((source, target))
+    old_csr, new_csr = as_csr(old), as_csr(new)
+    items, old_items = new_csr.items, old_csr.items
+    n = len(items)
+    to_new = np.fromiter(
+        map(new_csr._index_of.get, old_items, repeat(-1)), np.int64,
+        len(old_items),
+    )
+    missing = np.flatnonzero(to_new < 0)
+    if missing.size:
+        raise ClickstreamFormatError(
+            f"delta feed cannot express removal of item "
+            f"{old_items[missing[0]]!r}"
+        )
+    before = np.full(n, np.nan)  # NaN differs from every weight
+    before[to_new] = old_csr.node_weight
+    changed = np.flatnonzero(before != new_csr.node_weight)
+    node_weights = dict(zip(
+        map(items.__getitem__, changed.tolist()),
+        new_csr.node_weight[changed].tolist(),
+    ))
+
+    # Both graphs' edges as keys in new's index space, in out-row order.
+    src, dst, weight = new_csr._out_sources(), new_csr.out_dst, \
+        new_csr.out_weight
+    old_src, old_dst = old_csr._out_sources(), old_csr.out_dst
+    key = src * n + dst
+    old_key = to_new[old_src] * n + to_new[old_dst]
+    slot = key_positions(old_key, key)
+    same = slot >= 0
+    same[same] = old_csr.out_weight[slot[same]] == weight[same]
+    updates = np.flatnonzero(~same)
+    removals = np.flatnonzero(key_positions(key, old_key) < 0)
     return GraphDelta(
         node_weights=node_weights,
-        edge_updates=tuple(edge_updates),
-        edge_removals=tuple(edge_removals),
+        edge_updates=tuple(zip(
+            map(items.__getitem__, src[updates].tolist()),
+            map(items.__getitem__, dst[updates].tolist()),
+            weight[updates].tolist(),
+        )),
+        edge_removals=tuple(zip(
+            map(old_items.__getitem__, old_src[removals].tolist()),
+            map(old_items.__getitem__, old_dst[removals].tolist()),
+        )),
         sequence=sequence,
     )
 
@@ -230,23 +263,25 @@ def random_delta(
     if not (0.0 <= edge_churn <= 1.0):
         raise ClickstreamFormatError("edge_churn must be in [0, 1]")
     rng = resolve_rng(seed)
-    items = list(graph.items())
-    weights = np.asarray(
-        [graph.node_weight(item) for item in items], dtype=np.float64
-    )
+    csr = as_csr(graph)
+    items = csr.items
+    weights = csr.node_weight
     shocked = weights * rng.lognormal(0.0, sigma, size=weights.shape) \
         if sigma > 0 else weights.copy()
     shocked /= shocked.sum()
-    node_weights = {
-        item: float(w)
-        for item, w, old_w in zip(items, shocked.tolist(), weights.tolist())
-        if w != old_w
-    }
+    changed = np.flatnonzero(shocked != weights)
+    node_weights = dict(zip(
+        map(items.__getitem__, changed.tolist()), shocked[changed].tolist()
+    ))
     edge_updates = []
     if edge_churn > 0:
         # Churned edges are only ever scaled *down*, which preserves the
         # (0, 1] range and the Normalized out-weight budget unconditionally.
-        for source, target, weight in graph.edges():
+        for source, target, weight in zip(
+            map(items.__getitem__, csr._out_sources().tolist()),
+            map(items.__getitem__, csr.out_dst.tolist()),
+            csr.out_weight.tolist(),
+        ):
             if rng.random() < edge_churn:
                 edge_updates.append(
                     (source, target, float(weight * rng.uniform(0.5, 1.0)))

@@ -310,24 +310,45 @@ class CSRGraph:
         return self._digest
 
     def to_preference_graph(self):
-        """Convert back to the dictionary-backed representation."""
+        """Convert back to the mutable :class:`PreferenceGraph`.
+
+        The graph is the one ``add_item`` over :attr:`items` and then
+        ``add_edge`` over the out-rows would build, held in bulk form
+        (no dicts until a method needs them).  Its own :meth:`to_csr`
+        is built afresh, with in-rows by ascending source index, rather
+        than reusing this instance.
+        """
         from .graph import PreferenceGraph
 
-        graph = PreferenceGraph()
-        for i, item in enumerate(self.items):
-            graph.add_item(item, float(self.node_weight[i]))
-        for v in range(self.n_items):
-            dsts, weights = self.out_edges(v)
-            for u, w in zip(dsts.tolist(), weights.tolist()):
-                graph.add_edge(self.items[v], self.items[u], float(w))
-        return graph
+        return PreferenceGraph._from_arrays(
+            list(self.items), self.node_weight, self._out_sources(),
+            self.out_dst, self.out_weight, self._index_of,
+        )
 
     def __repr__(self) -> str:
         return f"CSRGraph(n_items={self.n_items}, n_edges={self.n_edges})"
 
 
+def key_positions(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Position of each of ``wanted`` in the distinct int64 ``keys``, or -1.
+
+    Edge ``(i, j)`` of an ``n``-item graph has key ``i * n + j``.
+    """
+    if not keys.size:
+        return np.full(wanted.shape, -1, dtype=np.int64)
+    order = np.argsort(keys, kind="stable")  # fastest on near-sorted keys
+    slot = order[np.minimum(np.searchsorted(keys[order], wanted),
+                            keys.size - 1)]
+    return np.where(keys[slot] == wanted, slot, -1)
+
+
 def as_csr(graph) -> CSRGraph:
-    """Coerce a ``PreferenceGraph`` or ``CSRGraph`` to :class:`CSRGraph`."""
+    """Coerce a ``PreferenceGraph`` or ``CSRGraph`` to :class:`CSRGraph`.
+
+    A ``PreferenceGraph`` answers with its cached
+    :meth:`~repro.core.graph.PreferenceGraph.to_csr`: one conversion per
+    graph state, however many callers ask.
+    """
     if isinstance(graph, CSRGraph):
         return graph
-    return CSRGraph.from_preference_graph(graph)
+    return graph.to_csr()

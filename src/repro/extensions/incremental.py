@@ -38,8 +38,9 @@ from ..observability import coerce_tracer
 class IncrementalSolver:
     """Maintains a greedy Preference Cover solution across graph updates.
 
-    The graph is held in the mutable dictionary representation (updates
-    are point-writes); solving snapshots it to CSR.  Typical use::
+    The graph is held in the mutable :class:`PreferenceGraph` form
+    (updates are point-writes); solving reads its cached CSR.  Typical
+    use::
 
         solver = IncrementalSolver(graph, k=100, variant="independent")
         first = solver.solve()

@@ -887,8 +887,11 @@ class ServingRuntime:
         drop as usual); only the refresh is retried.  On refresh
         failure the runtime degrades — the last good snapshot keeps
         serving, stamped stale — and returns it (or ``None`` when
-        nothing is servable yet); it never raises, matching the
-        drop-nothing contract of the delta feed.
+        nothing is servable yet).  A delta with a bad entry is rejected
+        whole by :meth:`AssortmentService.stage_delta`: the graph is
+        left as it was and the entry's typed error (a
+        :class:`~repro.errors.ReproError` for a bad item, edge or
+        weight) propagates; the serving front end catches it.
         """
         if not self.service.stage_delta(delta):
             return self.service.active

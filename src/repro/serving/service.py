@@ -90,7 +90,8 @@ class AssortmentService:
         if isinstance(graph, PreferenceGraph):
             self._graph = graph
         else:
-            # CSR input: materialize the mutable form so deltas apply.
+            # CSR input: the mutable form (in bulk, no dicts) so deltas
+            # apply.
             self._graph = as_csr(graph).to_preference_graph()
         self._graph.validate(self.variant)
         self._solver: Optional[IncrementalSolver] = None
@@ -102,27 +103,22 @@ class AssortmentService:
         self._refresh_lock = threading.Lock()
         self._sequence = 0
         self.refresh_failures = 0
-        # Cached CSR view of the current graph state; dropped whenever a
-        # delta mutates the graph so cache-hit lookups stay O(1) instead
-        # of paying an O(m) CSR conversion per ensure().
-        self._csr = None
 
     # ------------------------------------------------------------------
     # Snapshot lifecycle
     # ------------------------------------------------------------------
-    def _current_csr(self):
-        if self._csr is None:
-            self._csr = as_csr(self._graph)
-        return self._csr
-
     def current_csr(self):
-        """CSR view of the current graph state (cached until a delta)."""
-        return self._current_csr()
+        """CSR view of the current graph state.
+
+        The graph's own cached :meth:`~PreferenceGraph.to_csr`, so
+        cache-hit lookups stay O(1) until a delta changes the graph.
+        """
+        return as_csr(self._graph)
 
     def context_key(self) -> str:
         """The active graph's full context digest (cache key)."""
         return solve_context_digest(
-            self._current_csr(), self.variant,
+            self.current_csr(), self.variant,
             k=self.k, threshold=self.threshold,
         )
 
@@ -141,7 +137,7 @@ class AssortmentService:
                     f"injected refresh failure at sequence "
                     f"{self._sequence} (fault injection)"
                 )
-        csr = self._current_csr()
+        csr = self.current_csr()
         if self._solver is not None:
             result = self._solver.resolve() \
                 if self._solver.last_result is not None \
@@ -256,8 +252,9 @@ class AssortmentService:
         """Apply a graph delta and refresh the active snapshot.
 
         Stale or duplicate deltas (``sequence`` at or below the last
-        one incorporated) are dropped.  On a refresh failure the
-        service *degrades instead of breaking*: the metric
+        one incorporated) are dropped, and a delta with a bad entry is
+        rejected whole (see :meth:`stage_delta`).  On a refresh failure
+        the service *degrades instead of breaking*: the metric
         ``serving.refresh_failures`` is bumped, the last good snapshot
         stays active (queries keep working), and the error propagates
         so the caller can decide whether to retry.
@@ -272,7 +269,10 @@ class AssortmentService:
 
         Returns ``True`` when the delta was incorporated (the active
         snapshot is now stale and a :meth:`refresh` is owed), ``False``
-        when the delta was a stale/duplicate drop.  This split exists
+        when the delta was a stale/duplicate drop.  A delta with a bad
+        entry changes nothing: its error propagates, the graph and the
+        sequence stay as they were, and ``serving.deltas_rejected`` is
+        bumped.  This split exists
         for retrying callers: a graph mutation must happen exactly
         once, while the refresh that follows may be attempted many
         times — retrying :meth:`apply_delta` whole would hit the
@@ -286,8 +286,16 @@ class AssortmentService:
         if delta.sequence <= self._sequence and self._active is not None:
             self.metrics.incr("serving.deltas_stale")
             return False
-        delta.apply_to(self._graph)
-        self._csr = None  # the cached CSR view is now stale
+        try:
+            delta.apply_to(self._graph)  # all or nothing
+        except Exception as exc:
+            self.metrics.incr("serving.deltas_rejected")
+            _LOG.warning(
+                "delta_rejected",
+                sequence=delta.sequence,
+                error=f"{type(exc).__name__}: {exc}",
+            )
+            raise
         self._sequence = delta.sequence
         self.metrics.incr("serving.deltas_applied")
         if self.validate_deltas:
@@ -324,7 +332,6 @@ class AssortmentService:
         but a manual edit followed by ``refresh()`` works too).
         """
         with self._refresh_lock:
-            self._csr = None
             return self._refresh_locked()
 
     def _refresh_locked(self) -> SolutionSnapshot:

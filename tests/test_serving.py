@@ -34,6 +34,7 @@ from repro.resilience.faults import FaultInjector, InjectedCrash, inject_faults
 from repro.serving import (
     AssortmentService,
     ServingFrontend,
+    ServingRuntime,
     SolutionSnapshot,
     SolutionStore,
 )
@@ -617,6 +618,105 @@ class TestGraphDelta:
         delta = random_delta(graph, sigma=0.3, edge_churn=0.2, seed=1)
         delta.apply_to(graph)
         graph.validate(variant)  # must not raise
+
+
+# ----------------------------------------------------------------------
+# A delta with a bad entry is rejected whole
+# ----------------------------------------------------------------------
+#: The second update names an unknown item; nothing of it may stick.
+BAD_DELTA = GraphDelta(
+    node_weights={"a": 0.1, "c": 0.6},
+    edge_updates=(("x", "c", 0.3),),
+    sequence=1,
+)
+GOOD_DELTA = GraphDelta(edge_updates=(("a", "c", 0.9),), sequence=2)
+
+
+def abc_graph():
+    return repro.PreferenceGraph.from_weights(
+        {"a": 0.5, "b": 0.3, "c": 0.2}, [("a", "b", 0.5), ("b", "c", 0.4)]
+    )
+
+
+def abc_service(form):
+    """k=1 over ``abc_graph``, dict-backed or in bulk form (CSR input)."""
+    graph = abc_graph() if form == "dicts" else abc_graph().to_csr()
+    return AssortmentService(graph, variant="independent", k=1)
+
+
+def served_state(service):
+    csr = service.current_csr()
+    return (
+        list(csr.items), csr.node_weight.tolist(), csr.content_digest(),
+        service.context_key(), service.stats()["sequence"],
+    )
+
+
+def assert_served_accepted_only(snapshot):
+    """The served answer equals an offline cover of GOOD_DELTA alone."""
+    expected = GOOD_DELTA.apply_to(abc_graph())
+    assert snapshot.retained == ["c"]
+    assert snapshot.cover == cover(expected, ["c"], "independent")
+    assert snapshot.cover == repro.solve(
+        expected, variant="independent", k=1
+    ).cover
+    assert snapshot.cover == pytest.approx(0.77)
+
+
+class TestRejectedDelta:
+    @pytest.mark.parametrize("form", ["dicts", "bulk"])
+    def test_service(self, form):
+        service = abc_service(form)
+        service.ensure()
+        before = served_state(service)
+        with pytest.raises(UnknownItemError):
+            service.apply_delta(BAD_DELTA)
+        assert served_state(service) == before
+        assert (service.graph._arrays is None) == (form == "dicts")
+        assert service.metrics.counter("serving.deltas_rejected").value == 1
+        assert service.metrics.counter("serving.deltas_applied").value == 0
+        assert service.refresh_failures == 0
+        assert_served_accepted_only(service.apply_delta(GOOD_DELTA))
+
+    @pytest.mark.parametrize("form", ["dicts", "bulk"])
+    def test_runtime(self, form):
+        runtime = ServingRuntime(abc_service(form))
+        runtime.ensure()
+        before = served_state(runtime.service)
+        with pytest.raises(UnknownItemError):
+            runtime.apply_delta(BAD_DELTA)
+        assert served_state(runtime.service) == before
+        assert runtime.tier.name == "FRESH"
+        assert_served_accepted_only(runtime.apply_delta(GOOD_DELTA))
+
+    @pytest.mark.parametrize("form", ["dicts", "bulk"])
+    def test_frontend_feed(self, form):
+        runtime = ServingRuntime(abc_service(form))
+        runtime.ensure()
+
+        async def main():
+            async def feed():
+                yield BAD_DELTA
+                yield GOOD_DELTA.to_json()
+
+            async with ServingFrontend(runtime) as frontend:
+                applied = await frontend.consume_deltas(feed())
+                answer = await frontend.covered_probability("a")
+            return applied, answer
+
+        applied, answer = asyncio.run(main())
+        metrics = runtime.metrics
+        assert applied == 1
+        assert metrics.counter("serving.deltas_rejected").value == 1
+        assert metrics.counter("serving.deltas_applied").value == 1
+        assert runtime.service.refresh_failures == 0
+        snapshot = runtime.service.active
+        assert snapshot.sequence == 2
+        assert_served_accepted_only(snapshot)
+        expected = GOOD_DELTA.apply_to(abc_graph())
+        assert answer == item_coverage(expected, ["c"], "independent")[
+            expected.to_csr().index_of("a")
+        ]
 
 
 # ----------------------------------------------------------------------
