@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from ..core.graph import PreferenceGraph
 from ..core.variants import Variant
 from ..errors import AdaptationError
@@ -93,70 +91,33 @@ class DataAdaptationEngine:
         Raises :class:`AdaptationError` when the stream contains no
         purchases (node weights would be undefined).  When a ``tracer``
         is supplied the engine records session/edge counters under the
-        ``adaptation.*`` metric prefix.  The build runs on the stream's
-        :meth:`~Clickstream.encoding`, which the variant-fitness tests
-        share, so a stream is encoded once per pipeline run.
+        ``adaptation.*`` metric prefix.  The build is one fold into a
+        fresh :class:`~repro.adaptation.online.OnlineAdaptationEngine`
+        plus its snapshot, on the stream's :meth:`~Clickstream.encoding`,
+        which the variant-fitness tests share.
         """
+        from .online import OnlineAdaptationEngine  # it imports this module
+
         tracer = coerce_tracer(tracer)
-        config = self.config
-        n_sessions = len(clickstream)
-        encoding = clickstream.encoding()
-        total_purchases = encoding.n_purchases
+        total_purchases = clickstream.n_purchases
         if total_purchases == 0:
             raise AdaptationError(
                 "clickstream contains no purchasing sessions; cannot "
                 "estimate item popularity"
             )
-        items = encoding.items
-        counts = encoding.purchase_counts()
-        pairs = encoding.pairs()
-
-        graph = PreferenceGraph()
-        for code in encoding.first_purchase_order().tolist():
-            graph.add_item(items[code], int(counts[code]) / total_purchases)
-        if config.include_unpurchased:
-            # Never-purchased codes are click-only items; codes are
-            # assigned in first-seen order, so this is first-click order.
-            for code in np.flatnonzero(counts == 0).tolist():
-                graph.add_item(items[code], 0.0)
-
-        # mass: (weighted) number of A-purchasing sessions that clicked
-        # B, summed in session order as a running total would be.
-        if config.variant is Variant.NORMALIZED:
-            lengths = encoding.lengths()
-            lengths = lengths[lengths > 0]
-            share = np.repeat(1.0 / lengths, lengths)  # 1/t per alternative
-            mass = np.bincount(
-                pairs.entry_pair, weights=share, minlength=pairs.support.size
-            )
-        else:
-            mass = pairs.support.astype(np.float64)
-        weight = config.correction_factor * mass / (
-            counts[pairs.source] + config.laplace_alpha
-        )
-        keep = (pairs.support >= config.min_edge_sessions) & (
-            weight > config.min_edge_weight
-        )
-        if not config.include_unpurchased:
-            keep &= counts[pairs.target] > 0  # endpoint never purchased
-        kept = np.flatnonzero(keep)
-        kept = kept[np.argsort(pairs.first[kept])]  # first-occurrence order
-        for source, target, value in zip(
-            pairs.source[kept].tolist(),
-            pairs.target[kept].tolist(),
-            np.minimum(weight[kept], 1.0).tolist(),
-        ):
-            graph.add_edge(items[source], items[target], value)
-        edges_kept = kept.size
+        engine = OnlineAdaptationEngine(self.config)
+        engine.observe_all(clickstream)
+        graph = engine.snapshot()
         if tracer.enabled:
+            n_sessions = len(clickstream)
             tracer.incr("adaptation.sessions", n_sessions)
             tracer.incr("adaptation.purchasing_sessions", total_purchases)
-            tracer.incr("adaptation.candidate_edges", pairs.support.size)
-            tracer.incr("adaptation.edges_kept", edges_kept)
+            tracer.incr("adaptation.candidate_edges", engine._keys.size)
+            tracer.incr("adaptation.edges_kept", graph.n_edges)
             tracer.incr("adaptation.items", graph.n_items)
             tracer.event(
                 "adaptation.graph_built", items=graph.n_items,
-                edges=edges_kept, sessions=n_sessions,
+                edges=graph.n_edges, sessions=n_sessions,
                 purchasing_sessions=total_purchases,
             )
         return graph

@@ -108,13 +108,43 @@ class GraphDelta:
         All or nothing: the whole delta is checked before the graph
         changes, so a bad entry raises the error ``add_item``,
         ``add_edge`` or ``remove_edge`` would raise for it and leaves
-        ``graph`` as it was.  A graph in bulk form has the delta merged
-        into new arrays and builds no dicts.
+        ``graph`` as it was.  A malformed entry (a wrong arity, a
+        weight ``float()`` rejects, an unhashable id) raises
+        :class:`~repro.errors.ClickstreamFormatError` naming it, as
+        :meth:`from_dict` does for a wire delta.  A graph in bulk form
+        has the delta merged into new arrays and builds no dicts.
         """
-        graph._apply_updates(
-            self.node_weights, self.edge_updates, self.edge_removals
-        )
+        try:
+            graph._apply_updates(
+                self.node_weights, self.edge_updates, self.edge_removals
+            )
+        except (TypeError, ValueError):
+            # Only a refused entry gets here: name it if it is malformed.
+            self._reject_malformed()
+            raise
         return graph
+
+    def _reject_malformed(self) -> None:
+        """Raise ClickstreamFormatError for the first malformed entry."""
+        for name, entries, arity in (
+            ("node_weights", self.node_weights.items(), 2),
+            ("edge_updates", self.edge_updates, 3),
+            ("edge_removals", self.edge_removals, 2),
+        ):
+            weighted = name != "edge_removals"
+            for position, entry in enumerate(entries):
+                try:
+                    fields = tuple(entry)
+                    if len(fields) != arity:
+                        raise ValueError(f"{len(fields)} fields, not {arity}")
+                    hash(fields[:arity - weighted])
+                    if weighted:
+                        float(fields[-1])
+                except (TypeError, ValueError) as exc:
+                    raise ClickstreamFormatError(
+                        f"malformed GraphDelta entry {name}[{position}] "
+                        f"= {entry!r}: {exc}"
+                    ) from exc
 
     # -- wire form (the delta-feed transport) ---------------------------
     def to_dict(self) -> dict:

@@ -135,39 +135,6 @@ class PurchaseEncoding:
         for array in (purchase, offsets, alternatives):
             array.setflags(write=False)
 
-    @classmethod
-    def from_sessions(cls, sessions: Iterable[Session]) -> "PurchaseEncoding":
-        """Encode ``sessions``, calling :meth:`Session.alternatives` once each.
-
-        The reference definition: :meth:`Clickstream.encoding` computes
-        the same encoding from its columns, and the tests hold the two
-        equal.
-        """
-        sequence: List[ItemId] = []  # purchase, then alternatives, per row
-        lengths: List[int] = []
-        for session in sessions:
-            purchase = session.purchase
-            if purchase is None:
-                continue
-            alternatives = session.alternatives()
-            sequence.append(purchase)
-            sequence.extend(alternatives)
-            lengths.append(len(alternatives))
-        index: Dict[ItemId, int] = dict.fromkeys(sequence)
-        for code, item in enumerate(index):
-            index[item] = code
-        codes = np.fromiter(
-            map(index.__getitem__, sequence), dtype=_code_dtype(len(index)),
-            count=len(sequence),
-        )
-        del sequence  # release the id list before the array copies
-        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-        np.cumsum(np.array(lengths, dtype=np.int64), out=offsets[1:])
-        is_alternative = np.ones(codes.size, dtype=bool)
-        rows = offsets[:-1] + np.arange(len(lengths))  # purchase positions
-        is_alternative[rows] = False
-        return cls(tuple(index), codes[rows], offsets, codes[is_alternative])
-
     # ------------------------------------------------------------------
     @property
     def n_items(self) -> int:
@@ -523,7 +490,7 @@ class Clickstream:
         return self._encoding
 
     def _encode(self) -> PurchaseEncoding:
-        """:meth:`PurchaseEncoding.from_sessions` of the stream, on its columns.
+        """The encoding of the purchasing sessions, from the columns.
 
         A row keeps the first click on each item other than its
         purchase, ids that compare equal share a code, and codes follow

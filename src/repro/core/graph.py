@@ -710,10 +710,11 @@ class PreferenceGraph:
         if arrays is not None:
             return PreferenceGraph._of(arrays)  # arrays are never changed
         clone = PreferenceGraph()
-        for item, weight in self._node_weight.items():
-            clone.add_item(item, weight)
-        for source, target, weight in self.edges():
-            clone.add_edge(source, target, weight)
+        # Copied as they are: re-adding edges would reorder ``_in``.
+        clone._node_weight = dict(self._node_weight)
+        clone._out = {item: dict(row) for item, row in self._out.items()}
+        clone._in = {item: dict(row) for item, row in self._in.items()}
+        clone._edge_count = self._edge_count
         return clone
 
     def __repr__(self) -> str:

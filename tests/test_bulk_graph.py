@@ -47,6 +47,7 @@ from tests.test_fuzz_adaptation import (
     ALIASED_IDS,
     CONFIGS,
     SETTINGS,
+    ReferenceOnlineEngine,
     graph_layout,
     session_lists,
     typed,
@@ -94,7 +95,7 @@ def reference_graph_delta(old, new, *, sequence=0):
 
 
 def reference_snapshot(engine):
-    """The online engine's snapshot through add_item/add_edge."""
+    """A ``ReferenceOnlineEngine``'s snapshot through add_item/add_edge."""
     config = engine.config
     total = sum(engine._purchases.values())
     if total <= 0:
@@ -307,6 +308,15 @@ class TestBulkForm:
         assert graph._arrays is not None  # and still no dicts
         assert_matches_dict_build(graph, reference)
 
+    @SETTINGS
+    @given(graph_entries())
+    def test_copy_of_a_dict_graph_keeps_its_layout(self, entries):
+        # Edges are drawn in any order, so an item's in-row is not in
+        # source order.
+        graph = dict_built(bulk(*entries))
+        assert graph._arrays is None
+        assert graph_layout(graph.copy()) == graph_layout(graph)
+
     @pytest.mark.parametrize("bad", [
         ("node", -1.0), ("node", math.nan), ("edge", 0.0), ("edge", 1.5),
         ("edge", math.nan), ("self", 0.5), ("repeat", 0.5),
@@ -382,13 +392,14 @@ class TestBulkForm:
         st.sampled_from(CONFIGS),
     )
     def test_online_snapshot(self, periods, variant, decay, options):
-        engine = OnlineAdaptationEngine(
-            AdaptationConfig(variant=variant, **options), decay=decay
-        )
+        config = AdaptationConfig(variant=variant, **options)
+        engine = OnlineAdaptationEngine(config, decay=decay)
+        dicts = ReferenceOnlineEngine(config, decay=decay)
         for period in periods:
-            engine.new_period()
-            engine.observe_all(Clickstream(period))
-            expected = outcome(reference_snapshot, engine)
+            for each in (engine, dicts):
+                each.new_period()
+                each.observe_all(Clickstream(period))
+            expected = outcome(reference_snapshot, dicts)
             got = outcome(engine.snapshot)
             assert got[0] == expected[0]
             if got[0] == "error":
@@ -412,13 +423,16 @@ class TestBulkForm:
     def test_online_snapshot_at_the_pruning_thresholds(self, options, edges):
         rows = [(("b",), "a"), (("b", "c"), "a"), (("c",), "a"),
                 (("c",), "a"), ((), "b"), (("d",), "c")]
-        engine = OnlineAdaptationEngine(AdaptationConfig(**options))
-        engine.observe_all(Clickstream([
+        stream = Clickstream([
             Session(i, clicks, purchase)
             for i, (clicks, purchase) in enumerate(rows)
-        ]))
+        ])
+        engine = OnlineAdaptationEngine(AdaptationConfig(**options))
+        dicts = ReferenceOnlineEngine(AdaptationConfig(**options))
+        engine.observe_all(stream)
+        dicts.observe_all(stream)
         snapshot = engine.snapshot()
-        reference = reference_snapshot(engine)
+        reference = reference_snapshot(dicts)
         assert [(s, t) for s, t, _ in reference.edges()] == edges
         assert_matches_dict_build(snapshot, reference)
 
@@ -427,16 +441,16 @@ class TestBulkForm:
     def test_online_snapshot_on_a_dataset(self, variant, decay):
         stream, _ = build_dataset("PE", scale=0.002, seed=5)
         sessions = list(stream)
-        engine = OnlineAdaptationEngine(
-            AdaptationConfig(variant=variant, include_unpurchased=True),
-            decay=decay,
-        )
+        config = AdaptationConfig(variant=variant, include_unpurchased=True)
+        engine = OnlineAdaptationEngine(config, decay=decay)
+        reference = ReferenceOnlineEngine(config, decay=decay)
         for cut in range(3):
-            engine.new_period()
-            engine.observe_all(Clickstream(sessions[cut::3]))
+            for each in (engine, reference):
+                each.new_period()
+                each.observe_all(Clickstream(sessions[cut::3]))
             snapshot = engine.snapshot()
             assert snapshot._arrays is not None
-            assert_matches_dict_build(snapshot, reference_snapshot(engine))
+            assert_matches_dict_build(snapshot, reference_snapshot(reference))
 
     @SETTINGS
     @given(graph_entries(min_items=0), st.sampled_from(list(Variant)),
@@ -736,6 +750,6 @@ def test_rehearsal_leaves_a_dict_graph_unchanged():
         delta.apply_to(graph)
     assert str(caught.value) == str(("b", "c"))
     assert graph_layout(graph) == before
-    with pytest.raises(TypeError):
+    with pytest.raises(ClickstreamFormatError, match="unhashable"):
         GraphDelta(edge_updates=((["a"], "b", 0.5),)).apply_to(graph)
     assert graph_layout(graph) == before

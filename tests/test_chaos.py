@@ -14,14 +14,13 @@ from pathlib import Path
 import pytest
 
 from repro.clickstream.io import read_jsonl, write_jsonl
-from repro.clickstream.models import PurchaseEncoding
 from repro.core.greedy import greedy_solve
 from repro.errors import ReproError
 from repro.resilience import Checkpointer, FaultInjector, inject_faults
 from repro.resilience.faults import InjectedCrash, active_faults
 from repro.workloads.datasets import build_dataset
 from repro.workloads.graphs import random_preference_graph
-from tests.test_fuzz_adaptation import encoding_layout
+from tests.test_fuzz_adaptation import encoding_layout, reference_encoding
 
 _SHM_DIR = Path("/dev/shm")
 
@@ -251,5 +250,5 @@ class TestAmbientChaosSmoke:
                  for sample in report.samples]
         assert named == dropped[:len(named)]
         assert encoding_layout(result.encoding()) == encoding_layout(
-            PurchaseEncoding.from_sessions(list(result))
+            reference_encoding(list(result))
         )

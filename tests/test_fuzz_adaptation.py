@@ -8,13 +8,14 @@ engine, the online engine and the variant selector either produce a
 :class:`~repro.errors.AdaptationError` — never anything else.
 
 The second half pins the array implementations of ``normalized_fit``,
-``independence_score`` and ``DataAdaptationEngine.build_graph`` to the
-per-session loops below, which are the straightforward reading of the
-paper's Section 5.2 construction.  They must agree exactly: the same
-floats, the same item and edge order, the same tracer output and the
-same errors.  So must the columnar encoding of a ``Clickstream`` and
-``PurchaseEncoding.from_sessions``, and ``observe_all`` on a stream and
-one ``observe`` per session.
+``independence_score``, ``DataAdaptationEngine.build_graph`` and the
+online engine to the per-session loops and the dict engine
+(``ReferenceOnlineEngine``) below, which are the straightforward
+reading of the paper's Section 5.2 construction.  They must agree
+exactly: the same floats, the same item names, item and edge order,
+the same tracer output and the same errors.  So must the columnar
+encoding of a ``Clickstream`` and ``reference_encoding``, and
+``observe_all`` on a stream and one ``observe`` per session.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import random
 import tempfile
 from collections import Counter, defaultdict
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,12 @@ from repro.adaptation.variant_selection import (
     recommend_variant,
 )
 from repro.clickstream.io import read_jsonl, write_jsonl
-from repro.clickstream.models import Clickstream, PurchaseEncoding, Session
+from repro.clickstream.models import (
+    Clickstream,
+    PurchaseEncoding,
+    Session,
+    _code_dtype,
+)
 from repro.core.graph import PreferenceGraph
 from repro.core.variants import Variant
 from repro.errors import AdaptationError
@@ -82,8 +88,15 @@ def session_lists(draw, max_size=30, ids=ITEM_IDS):
     return [draw(sessions(session_id=i, ids=ids)) for i in range(n)]
 
 
-def clickstreams(max_size=30):
-    return session_lists(max_size=max_size).map(Clickstream)
+def clickstreams(max_size=30, ids=ITEM_IDS):
+    return session_lists(max_size=max_size, ids=ids).map(Clickstream)
+
+
+def any_clickstreams(max_size=30):
+    """Streams of int and str ids, or of ids that alias one another."""
+    return st.one_of(
+        clickstreams(max_size), clickstreams(max_size, ids=ALIASED_IDS)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -222,15 +235,194 @@ def reference_build_graph(config, clickstream, tracer=None):
     return graph
 
 
+def reference_encoding(sessions):
+    """The ``PurchaseEncoding`` of ``sessions``, calling
+    ``Session.alternatives`` once each: what ``Clickstream.encoding``
+    computes from its columns."""
+    sequence = []  # purchase, then alternatives, per row
+    lengths = []
+    for session in sessions:
+        purchase = session.purchase
+        if purchase is None:
+            continue
+        alternatives = session.alternatives()
+        sequence.append(purchase)
+        sequence.extend(alternatives)
+        lengths.append(len(alternatives))
+    index = dict.fromkeys(sequence)
+    for code, item in enumerate(index):
+        index[item] = code
+    codes = np.fromiter(
+        map(index.__getitem__, sequence), dtype=_code_dtype(len(index)),
+        count=len(sequence),
+    )
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(np.array(lengths, dtype=np.int64), out=offsets[1:])
+    is_alternative = np.ones(codes.size, dtype=bool)
+    rows = offsets[:-1] + np.arange(len(lengths))  # purchase positions
+    is_alternative[rows] = False
+    return PurchaseEncoding(
+        tuple(index), codes[rows], offsets, codes[is_alternative]
+    )
+
+
+def _plus_ones(value, n):
+    """``value`` after ``n`` running ``+= 1.0`` steps (exact while integer)."""
+    if value.is_integer() and value + n <= float(2 ** 53):
+        return value + n
+    for _ in range(n):
+        value += 1.0
+    return value
+
+
+class ReferenceOnlineEngine:
+    """The online engine on dict statistics keyed by item id.
+
+    ``observe`` adds to the dicts one session at a time; ``observe_all``
+    folds a stream from its encoding, one step per item and per pair;
+    ``snapshot`` maps the pair keys through an ``{item: index}`` dict.
+    """
+
+    def __init__(self, config=None, *, decay=1.0):
+        if not (0.0 < decay <= 1.0):
+            raise AdaptationError(f"decay must be in (0, 1], got {decay}")
+        self.config = config or AdaptationConfig()
+        self.decay = decay
+        self._purchases = defaultdict(float)
+        self._click_mass = defaultdict(float)
+        self._session_support = defaultdict(float)
+        self._click_only = {}  # every clicked item, in first-click order
+        self.observed_sessions = 0
+
+    def observe(self, session):
+        self.observed_sessions += 1
+        if session.purchase is None:
+            return
+        desired = session.purchase
+        self._purchases[desired] += 1.0
+        alternatives = session.alternatives()
+        if not alternatives:
+            return
+        if self.config.variant is Variant.NORMALIZED:
+            weight = 1.0 / len(alternatives)
+        else:
+            weight = 1.0
+        for clicked in alternatives:
+            self._click_mass[(desired, clicked)] += weight
+            self._session_support[(desired, clicked)] += 1.0
+            self._click_only[clicked] = None
+
+    def observe_all(self, sessions):
+        if isinstance(sessions, Clickstream) and not sessions.aliased:
+            self._fold(sessions)
+            return
+        for session in sessions:
+            self.observe(session)
+
+    def _fold(self, stream):
+        encoding = stream.encoding()
+        self.observed_sessions += len(stream)
+        items = encoding.items
+        counts = encoding.purchase_counts().tolist()
+        purchases = self._purchases
+        for code in encoding.first_purchase_order().tolist():
+            item = items[code]
+            purchases[item] = _plus_ones(
+                purchases.get(item, 0.0), counts[code]
+            )
+        pairs = encoding.pairs()
+        keys = [
+            (items[source], items[target]) for source, target in zip(
+                pairs.source.tolist(), pairs.target.tolist()
+            )
+        ]
+        supports = pairs.support.tolist()
+        mass, support = self._click_mass, self._session_support
+        normalized = self.config.variant is Variant.NORMALIZED
+        for j in np.argsort(pairs.first).tolist():  # first-occurrence order
+            key = keys[j]
+            support[key] = _plus_ones(support.get(key, 0.0), supports[j])
+            if not normalized:
+                mass[key] = _plus_ones(mass.get(key, 0.0), supports[j])
+        if normalized:
+            lengths = encoding.lengths()
+            lengths = lengths[lengths > 0]
+            shares = np.repeat(1.0 / lengths, lengths).tolist()
+            for j, share in zip(pairs.entry_pair.tolist(), shares):
+                key = keys[j]
+                mass[key] = mass.get(key, 0.0) + share
+        codes, first = np.unique(encoding.alternatives, return_index=True)
+        codes = codes[np.argsort(first)].tolist()
+        self._click_only.update(dict.fromkeys(map(items.__getitem__, codes)))
+
+    def new_period(self):
+        if self.decay >= 1.0:
+            return
+        for key in list(self._purchases):
+            self._purchases[key] *= self.decay
+        for key in list(self._click_mass):
+            self._click_mass[key] *= self.decay
+            self._session_support[key] *= self.decay
+
+    def snapshot(self):
+        config = self.config
+        total = sum(self._purchases.values())
+        if total <= 0:
+            raise AdaptationError(
+                "no purchasing sessions observed yet; cannot snapshot"
+            )
+        items = list(self._purchases)
+        counts = np.fromiter(self._purchases.values(), np.float64, len(items))
+        node_weight = counts / total
+        if config.include_unpurchased:
+            items += [
+                item for item in self._click_only
+                if item not in self._purchases
+            ]
+            node_weight = np.concatenate(
+                (node_weight, np.zeros(len(items) - counts.size))
+            )
+        index = dict(zip(items, range(len(items))))
+        pairs = self._click_mass
+        m = len(pairs)
+        ends = np.fromiter(
+            map(index.get, chain.from_iterable(pairs), repeat(-1)),
+            np.int64, 2 * m,
+        )
+        src, dst = ends[0::2], ends[1::2]
+        mass = np.fromiter(pairs.values(), np.float64, m)
+        support = np.fromiter(self._session_support.values(), np.float64, m)
+        kept = (src >= 0) & (dst >= 0) & ~(support < config.min_edge_sessions)
+        src, dst = src[kept], dst[kept]
+        weight = config.correction_factor * mass[kept] / (
+            counts[src] + config.laplace_alpha
+        )
+        kept = ~(weight <= config.min_edge_weight)
+        return PreferenceGraph._from_arrays(
+            items, node_weight, src[kept], dst[kept],
+            np.minimum(weight[kept], 1.0), index,
+        )
+
+
 # ----------------------------------------------------------------------
 # Exact-agreement helpers
 # ----------------------------------------------------------------------
 def graph_layout(graph):
-    """Item order, node weights and edge order on both adjacency sides."""
+    """Typed item order, node weights and edge order on both adjacency
+    sides, bitwise.  An edge's far end is named by its item: a dict
+    graph may key it by an equal alias (``1.0`` for the item ``1``).
+    """
+    items = list(graph.items())
+    name = dict(zip(items, items))
+
+    def side(adjacency, item):
+        return [(typed(name[other]), weight.hex())
+                for other, weight in adjacency[item].items()]
+
     return (
-        [(item, graph.node_weight(item)) for item in graph.items()],
-        [(item, list(graph._out[item].items())) for item in graph.items()],
-        [(item, list(graph._in[item].items())) for item in graph.items()],
+        [(typed(item), graph.node_weight(item).hex()) for item in items],
+        [(typed(item), side(graph._out, item)) for item in items],
+        [(typed(item), side(graph._in, item)) for item in items],
         graph.n_edges,
     )
 
@@ -316,27 +508,21 @@ class TestFuzzBatchEngine:
 class TestFuzzOnlineEngine:
     @SETTINGS
     @given(
-        clickstreams(),
+        any_clickstreams(),
         st.sampled_from(list(Variant)),
         st.sampled_from(CONFIGS),
     )
     def test_online_equals_batch(self, stream, variant, options):
+        # The batch build is a fold into the same engine: compare with
+        # the per-session reference instead.
         config = AdaptationConfig(variant=variant, **options)
         online = OnlineAdaptationEngine(config)
         online.observe_all(stream)
-        batch_error = online_error = None
-        try:
-            batch = DataAdaptationEngine(config).build_graph(stream)
-        except AdaptationError as exc:
-            batch_error = exc
-        try:
-            snapshot = online.snapshot()
-        except AdaptationError as exc:
-            online_error = exc
-        assert (batch_error is None) == (online_error is None)
-        if batch_error is None:
-            assert list(snapshot.items()) == list(batch.items())
-            assert list(snapshot.edges()) == list(batch.edges())
+        batch = outcome(reference_build_graph, config, stream)
+        snapshot = outcome(online.snapshot)
+        assert batch[0] == snapshot[0]
+        if batch[0] == "ok":
+            assert graph_layout(snapshot[1]) == graph_layout(batch[1])
 
 
 class TestFuzzVariantSelection:
@@ -394,7 +580,7 @@ class TestArrayImplementationsMatchReference:
 
     @SETTINGS
     @given(
-        clickstreams(max_size=60),
+        any_clickstreams(max_size=60),
         st.sampled_from(list(Variant)),
         st.sampled_from(CONFIGS),
     )
@@ -430,6 +616,16 @@ class TestArrayImplementationsMatchReference:
         for variant in Variant:
             assert_build_matches(AdaptationConfig(variant=variant), stream)
         assert_build_matches(AdaptationConfig(), Clickstream([]))
+
+    def test_alias_is_named_as_first_purchased(self):
+        # 1.0 is seen first, as a click; 1 is the first purchase.
+        stream = Clickstream([
+            Session("s1", ("a", 1.0), "a"), Session("s2", ("b",), 1),
+            Session("s3", ("a",), True),
+        ])
+        graph = DataAdaptationEngine().build_graph(stream)
+        assert typed(tuple(graph.items())) == typed(("a", 1))
+        assert_build_matches(AdaptationConfig(), stream)
 
 
 @pytest.fixture(scope="module", params=["PE", "YC"])
@@ -505,7 +701,7 @@ class TestColumnarEncodingMatchesReference:
         session_lists(max_size=40, ids=ALIASED_IDS),
     ))
     def test_from_sessions_and_from_jsonl(self, sessions):
-        expected = encoding_layout(PurchaseEncoding.from_sessions(sessions))
+        expected = encoding_layout(reference_encoding(sessions))
         for stream in (Clickstream(sessions), round_trip(sessions)):
             assert session_layout(stream) == session_layout(sessions)
             assert [stream[i] for i in range(len(stream))] == sessions
@@ -514,7 +710,7 @@ class TestColumnarEncodingMatchesReference:
     def test_dataset(self, dataset_stream):
         sessions = list(dataset_stream)
         assert encoding_layout(dataset_stream.encoding()) == encoding_layout(
-            PurchaseEncoding.from_sessions(sessions)
+            reference_encoding(sessions)
         )
 
     def test_equal_ids_from_jsonl(self, tmp_path):
@@ -547,44 +743,85 @@ class TestColumnarEncodingMatchesReference:
             ("p4", (False, 0, 0.0, "y", 1), True)
         )
         assert encoding_layout(stream.encoding()) == encoding_layout(
-            PurchaseEncoding.from_sessions(list(stream))
+            reference_encoding(list(stream))
         )
 
 
 def engine_state(engine):
-    """Every statistic of an online engine: keys with types, bitwise values."""
+    """Every statistic of an online engine, as the reference keeps them:
+    purchased and click-only items with their types, pairs (equal ids
+    are one pair) and bitwise values, all in order."""
+    if isinstance(engine, ReferenceOnlineEngine):
+        bought = engine._purchases
+        counts = list(bought.values())
+        support = engine._session_support
+        pairs = [(key, mass, support[key])
+                 for key, mass in engine._click_mass.items()]
+        clicked = engine._click_only
+    else:
+        bought = engine._purchased
+        counts = engine._counts[engine._bought].tolist()
+        ids = list(engine._code)  # by code: the id first seen
+        pairs = [
+            ((ids[key >> 32], ids[key & 0xFFFFFFFF]), mass, support)
+            for key, mass, support in zip(
+                engine._keys.tolist(), engine._mass.tolist(),
+                engine._support.tolist(),
+            )
+        ]
+        clicked = engine._clicked_as
     return (
-        [(typed(k), v.hex()) for k, v in engine._purchases.items()],
-        [(typed(k), v.hex()) for k, v in engine._click_mass.items()],
-        [(typed(k), v.hex()) for k, v in engine._session_support.items()],
-        [typed(k) for k in engine._click_only],
+        [(typed(item), count.hex()) for item, count in zip(bought, counts)],
+        [(pair, mass.hex(), support.hex()) for pair, mass, support in pairs],
+        [typed(item) for item in clicked if item not in bought],
         engine.observed_sessions,
     )
 
 
 def snapshot_layout(engine):
+    """The engine's snapshot as a typed layout, or its error."""
     try:
         graph = engine.snapshot()
     except AdaptationError as exc:
         return ("error", str(exc))
-    return (
-        [(typed(item), graph.node_weight(item).hex()) for item in graph.items()],
-        [(typed(s), typed(t), w.hex()) for s, t, w in graph.edges()],
-    )
+    return graph_layout(graph)
 
 
-def assert_fold_matches(config, decay, periods):
-    """observe_all per period == observe per session, with decay between."""
+def assert_engines_match(engine, reference):
+    assert engine_state(engine) == engine_state(reference)
+    assert snapshot_layout(engine) == snapshot_layout(reference)
+
+
+#: How a fold reaches an engine: one stream, a list of sessions, or one
+#: ``observe`` per session.
+FEEDS = ("stream", "list", "sessions")
+
+
+def feed(engine, sessions, how):
+    if how == "stream":
+        engine.observe_all(Clickstream(sessions))
+    elif how == "list":
+        engine.observe_all(sessions)
+    else:
+        for session in sessions:
+            engine.observe(session)
+
+
+def assert_fold_matches(config, decay, periods, how="sessions"):
+    """observe_all per period == the same sessions fed ``how`` == the
+    reference observing one session at a time, with decay between
+    periods."""
     folded = OnlineAdaptationEngine(config, decay=decay)
     stepped = OnlineAdaptationEngine(config, decay=decay)
+    reference = ReferenceOnlineEngine(config, decay=decay)
     for period in periods:
-        folded.new_period()
-        stepped.new_period()
+        for engine in (folded, stepped, reference):
+            engine.new_period()
         folded.observe_all(Clickstream(period))
-        for session in period:
-            stepped.observe(session)
-    assert engine_state(folded) == engine_state(stepped)
-    assert snapshot_layout(folded) == snapshot_layout(stepped)
+        feed(stepped, period, how)
+        feed(reference, period, "sessions")
+    assert_engines_match(folded, reference)
+    assert_engines_match(stepped, reference)
 
 
 class TestObserveAllMatchesObserve:
@@ -612,7 +849,12 @@ class TestObserveAllMatchesObserve:
         sessions = list(dataset_stream)
         cuts = [0, len(sessions) // 2, 3 * len(sessions) // 4, len(sessions)]
         periods = [sessions[a:b] for a, b in zip(cuts, cuts[1:])]
-        assert_fold_matches(AdaptationConfig(variant=variant), decay, periods)
+        # The array engine gets each period as a list: one observe() per
+        # session would fold ~50k one-session streams, each copying
+        # every statistic.  The reference still steps session by session.
+        assert_fold_matches(
+            AdaptationConfig(variant=variant), decay, periods, how="list"
+        )
 
     def test_folds_without_sessions(self, dataset_stream, monkeypatch):
         def no_sessions(*args, **kwargs):
@@ -624,3 +866,72 @@ class TestObserveAllMatchesObserve:
         engine.observe_all(stream)
         assert engine.observed_sessions == len(stream)
 
+
+@pytest.fixture(scope="module", params=[3, 8])
+def pe_folds(request):
+    """The PE stand-in cut as ``serve_pe`` cuts it: half, then 20 parts."""
+    stream, _ = build_dataset("PE", scale=0.01, seed=request.param)
+    sessions = list(stream)
+    half = len(sessions) // 2
+    cuts = np.linspace(half, len(sessions), 21).astype(int).tolist()
+    return [Clickstream(sessions[:half])] + [
+        Clickstream(sessions[a:b]) for a, b in zip(cuts, cuts[1:])
+    ]
+
+
+class TestArrayEngineMatchesReference:
+    @SETTINGS
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    session_lists(max_size=20),
+                    session_lists(max_size=20, ids=ALIASED_IDS),
+                ),
+                st.sampled_from(FEEDS),
+            ),
+            min_size=1, max_size=4,
+        ),
+        st.sampled_from(list(Variant)),
+        st.sampled_from([1.0, 0.5, 0.3]),
+        st.sampled_from(CONFIGS),
+    )
+    def test_every_fold(self, folds, variant, decay, options):
+        config = AdaptationConfig(variant=variant, **options)
+        engine = OnlineAdaptationEngine(config, decay=decay)
+        reference = ReferenceOnlineEngine(config, decay=decay)
+        for index, (sessions, how) in enumerate(folds):
+            if index:
+                engine.new_period()
+                reference.new_period()
+            feed(engine, sessions, how)
+            feed(reference, sessions, how)
+            assert_engines_match(engine, reference)
+
+    @pytest.mark.parametrize("how", FEEDS)
+    def test_alias_is_named_as_first_purchased_across_folds(self, how):
+        # 1 is first clicked, then purchased as 1.0 in a later fold.
+        engine, reference = OnlineAdaptationEngine(), ReferenceOnlineEngine()
+        for fold in ([Session("s1", ("a", 1), "a")],
+                     [Session("s2", ("b",), 1.0)]):
+            feed(engine, fold, how)
+            feed(reference, fold, how)
+        assert typed(tuple(engine.snapshot().items())) == typed(("a", 1.0))
+        assert_engines_match(engine, reference)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("decay", [1.0, 0.5])
+    def test_pe_scale_folds(self, pe_folds, variant, decay):
+        config = AdaptationConfig(variant=variant)
+        engine = OnlineAdaptationEngine(config, decay=decay)
+        reference = ReferenceOnlineEngine(config, decay=decay)
+        for part in pe_folds:
+            engine.new_period()
+            reference.new_period()
+            engine.observe_all(part)
+            reference.observe_all(part)
+            got, want = engine.snapshot()._arrays, reference.snapshot()._arrays
+            assert typed(tuple(got.items)) == typed(tuple(want.items))
+            for name in ("node_weight", "src", "dst", "weight"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -1,26 +1,23 @@
-"""Tests for the streaming (online) adaptation engine."""
+"""Tests for the streaming (online) adaptation engine.
+
+The batch build is a fold into the same engine, so equivalence is
+checked against ``reference_build_graph``, the per-session reading of
+the construction, which shares no code with the engine.
+"""
 
 import pytest
 
-from repro.adaptation.engine import (
-    AdaptationConfig,
-    DataAdaptationEngine,
-    build_preference_graph,
-)
+from repro.adaptation.engine import AdaptationConfig, DataAdaptationEngine
 from repro.adaptation.online import OnlineAdaptationEngine
 from repro.clickstream.generator import ConsumerModel, ShopperConfig
 from repro.clickstream.models import Clickstream, Session
 from repro.core.variants import Variant
 from repro.errors import AdaptationError
+from tests.test_fuzz_adaptation import graph_layout, reference_build_graph
 
 
-def graphs_equal(a, b) -> bool:
-    if set(a.items()) != set(b.items()):
-        return False
-    for item in a.items():
-        if abs(a.node_weight(item) - b.node_weight(item)) > 1e-12:
-            return False
-    return sorted(a.edges()) == sorted(b.edges())
+def reference_layout(config, sessions):
+    return graph_layout(reference_build_graph(config, sessions))
 
 
 @pytest.fixture
@@ -38,14 +35,18 @@ class TestBatchEquivalence:
         online = OnlineAdaptationEngine(config)
         online.observe_all(stream)
         batch = DataAdaptationEngine(config).build_graph(stream)
-        assert graphs_equal(online.snapshot(), batch)
+        expected = reference_layout(config, stream)
+        assert graph_layout(online.snapshot()) == expected
+        assert graph_layout(batch) == expected
 
     def test_pruning_options_respected(self, stream):
         config = AdaptationConfig(min_edge_sessions=3, min_edge_weight=0.05)
         online = OnlineAdaptationEngine(config)
         online.observe_all(stream)
         batch = DataAdaptationEngine(config).build_graph(stream)
-        assert graphs_equal(online.snapshot(), batch)
+        expected = reference_layout(config, stream)
+        assert graph_layout(online.snapshot()) == expected
+        assert graph_layout(batch) == expected
 
     def test_include_unpurchased(self):
         config = AdaptationConfig(include_unpurchased=True)
@@ -67,12 +68,11 @@ class TestStreamingBehavior:
             online.observe(session)
         second = online.snapshot()
         # More data: same equivalence with the corresponding batches.
-        batch_first = build_preference_graph(
-            Clickstream(list(stream)[:half]), "independent"
+        config = AdaptationConfig()
+        assert graph_layout(first) == reference_layout(
+            config, list(stream)[:half]
         )
-        assert graphs_equal(first, batch_first)
-        batch_all = build_preference_graph(stream, "independent")
-        assert graphs_equal(second, batch_all)
+        assert graph_layout(second) == reference_layout(config, stream)
 
     def test_observed_sessions_counter(self):
         online = OnlineAdaptationEngine()

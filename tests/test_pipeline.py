@@ -86,21 +86,31 @@ class TestRun:
 
     @pytest.mark.parametrize("k", [10, 10_000])
     def test_one_csr_conversion_per_run(self, independent_stream, monkeypatch, k):
-        calls = []
+        # The build emits the graph in bulk form: its one CSR comes from
+        # the arrays, and no dict graph is converted.
+        conversions, built = [], []
         original = CSRGraph.from_preference_graph.__func__
+        init = CSRGraph.__init__
 
         def counting(cls, graph):
-            calls.append(graph)
+            conversions.append(graph)
             return original(cls, graph)
+
+        def recording(csr, *args):
+            built.append(csr)
+            init(csr, *args)
 
         monkeypatch.setattr(
             CSRGraph, "from_preference_graph", classmethod(counting)
         )
+        monkeypatch.setattr(CSRGraph, "__init__", recording)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # k clamp
             report = InventoryReducer(k=k).run(independent_stream)
-        assert len(calls) == 1
-        assert calls[0] is report.graph
+        assert conversions == []
+        assert len(built) == 1
+        assert report.graph.to_csr() is built[0]
+        assert report.graph._arrays is not None
 
     def test_stream_encoded_once_per_run(self, independent_stream, encodings):
         stream = Clickstream(list(independent_stream))

@@ -691,12 +691,28 @@ class TestRejectedDelta:
 
     @pytest.mark.parametrize("form", ["dicts", "bulk"])
     def test_frontend_feed(self, form):
+        self.assert_feed_applies_only_the_good_delta(form, BAD_DELTA)
+
+    @pytest.mark.parametrize("bad", [
+        GraphDelta(edge_updates=(("a",),), sequence=1),
+        GraphDelta(edge_updates=(("a", "c", "heavy"),), sequence=1),
+        GraphDelta(edge_updates=((["a"], "c", 0.3),), sequence=1),
+        GraphDelta(edge_removals=(("a", "b", 0.5),), sequence=1),
+        GraphDelta(node_weights={"a": None}, sequence=1),
+    ], ids=["short-update", "bad-weight", "unhashable-id", "long-removal",
+            "null-node-weight"])
+    @pytest.mark.parametrize("form", ["dicts", "bulk"])
+    def test_frontend_feed_goes_on_past_a_malformed_delta(self, form, bad):
+        self.assert_feed_applies_only_the_good_delta(form, bad)
+
+    @staticmethod
+    def assert_feed_applies_only_the_good_delta(form, bad):
         runtime = ServingRuntime(abc_service(form))
         runtime.ensure()
 
         async def main():
             async def feed():
-                yield BAD_DELTA
+                yield bad
                 yield GOOD_DELTA.to_json()
 
             async with ServingFrontend(runtime) as frontend:

@@ -10,6 +10,7 @@ from repro.adaptation.online import OnlineAdaptationEngine
 from repro.clickstream.models import Clickstream, Session
 from repro.core.variants import Variant
 from repro.errors import AdaptationError
+from tests.test_fuzz_adaptation import reference_build_graph
 
 
 def stream(*sessions) -> Clickstream:
@@ -95,7 +96,9 @@ class TestOnlineParity:
                          variant=Variant.NORMALIZED),
     ])
     def test_online_matches_batch_with_smoothing(self, raw_stream, config):
-        batch = DataAdaptationEngine(config).build_graph(raw_stream)
+        # The batch build is a fold into the same engine; the per-session
+        # reference is the independent check.
+        batch = reference_build_graph(config, raw_stream)
         online = OnlineAdaptationEngine(config)
         online.observe_all(raw_stream)
         snapshot = online.snapshot()
