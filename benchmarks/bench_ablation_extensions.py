@@ -1,11 +1,8 @@
 """Ablation: the future-work extensions against their plain counterparts.
 
 * revenue-aware greedy vs count-based greedy, scored in expected revenue;
-* incremental re-solve vs from-scratch greedy after a small weight drift;
 * capacity (knapsack) greedy vs cardinality greedy at equal average cost.
 """
-
-import time
 
 import numpy as np
 import pytest
@@ -14,7 +11,6 @@ from _reporting import register_report
 from repro.core.greedy import greedy_solve
 from repro.evaluation.metrics import format_table
 from repro.extensions.capacity import budget_spent, capacity_greedy_solve
-from repro.extensions.incremental import IncrementalSolver
 from repro.extensions.revenue import expected_revenue, revenue_greedy_solve
 from repro.workloads.graphs import random_preference_graph
 
@@ -61,57 +57,6 @@ def test_ablation_revenue(benchmark, graph):
     )
     # Optimizing the revenue objective cannot lose to ignoring it.
     assert aware.cover >= plain_revenue - 1e-9
-
-
-def test_ablation_incremental(benchmark, graph):
-    pg = graph.to_preference_graph()
-    solver = IncrementalSolver(pg, k=K, variant="independent")
-    solver.solve()
-    items = list(pg.items())
-    rng = np.random.default_rng(112)
-
-    def drift_and_resolve():
-        # Move 5% of the mass of three random items elsewhere.
-        for _ in range(3):
-            a, b = rng.choice(len(items), size=2, replace=False)
-            delta = pg.node_weight(items[a]) * 0.05
-            solver.update_node_weight(
-                items[a], pg.node_weight(items[a]) - delta
-            )
-            solver.update_node_weight(
-                items[b], pg.node_weight(items[b]) + delta
-            )
-        return solver.resolve()
-
-    incremental = benchmark.pedantic(drift_and_resolve, rounds=3,
-                                     iterations=1)
-    start = time.perf_counter()
-    fresh = greedy_solve(pg, k=K, variant="independent")
-    fresh_time = time.perf_counter() - start
-    assert incremental.retained == fresh.retained
-
-    rows = [
-        {
-            "method": "incremental resolve",
-            "runtime_s": incremental.wall_time_s,
-            "reused_prefix": solver.last_reused_prefix,
-            "cover": incremental.cover,
-        },
-        {
-            "method": "from-scratch greedy",
-            "runtime_s": fresh_time,
-            "reused_prefix": 0,
-            "cover": fresh.cover,
-        },
-    ]
-    text = format_table(
-        rows,
-        title=f"Ablation: incremental maintenance after weight drift "
-              f"(n={N_ITEMS}, k={K})",
-    )
-    register_report(
-        "Ablation: incremental", text, filename="ablation_incremental.txt"
-    )
 
 
 def test_ablation_capacity(benchmark, graph):

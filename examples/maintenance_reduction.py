@@ -5,18 +5,20 @@ data-maintenance cost.  "Drop the worst sellers" is tempting but wrong:
 an unpopular item may be the only acceptable alternative for popular
 requests.  This example retains 95% of a Fashion catalog (PF stand-in),
 compares what greedy drops vs what the sales-rank policy drops, and then
-uses the incremental solver to *maintain* the selection cheaply as item
-popularity drifts week over week — the paper's stated future-work
-direction, implemented in repro.extensions.
+*maintains* the selection as item popularity drifts week over week —
+the paper's stated future-work direction: an ``AssortmentService`` takes
+each week's ``GraphDelta`` and serves a cold re-solve of the updated
+graph.
 
 Run:  python examples/maintenance_reduction.py
 """
 
 import numpy as np
 
-from repro import cover, greedy_solve, top_k_weight_solve
+from repro import greedy_solve, top_k_weight_solve
 from repro.adaptation import build_preference_graph
-from repro.extensions.incremental import IncrementalSolver
+from repro.clickstream.drift import GraphDelta
+from repro.serving import AssortmentService
 from repro.workloads.datasets import build_dataset
 
 KEEP_FRACTION = 0.95
@@ -30,8 +32,8 @@ def main() -> None:
     keep = int(n * KEEP_FRACTION)
     print(f"  catalog {n:,} items; disposing of {n - keep} ({n - keep} = 5%)")
 
-    greedy = greedy_solve(graph, keep, "independent")
-    naive = top_k_weight_solve(graph, keep, "independent")
+    greedy = greedy_solve(graph, k=keep, variant="independent")
+    naive = top_k_weight_solve(graph, k=keep, variant="independent")
     print(f"\ngreedy keeps  : cover = {greedy.cover:.4f}")
     print(f"sales-rank    : cover = {naive.cover:.4f}")
 
@@ -52,33 +54,34 @@ def main() -> None:
             f"covers {in_weight:.5f} of other items' demand"
         )
 
-    # --- Incremental maintenance across popularity drift ------------
+    # --- Maintenance across popularity drift -----------------------
     print("\nsimulating 4 weeks of popularity drift "
-          "(incremental vs from-scratch):")
-    solver = IncrementalSolver(graph, k=keep, variant="independent")
-    solver.solve()
+          "(served after each week's delta vs from-scratch):")
+    service = AssortmentService(graph, variant="independent", k=keep)
+    served = service.ensure()
     rng = np.random.default_rng(0)
     items = list(graph.items())
     for week in range(1, 5):
         # Shift a little popularity mass between random item pairs.
+        weights = {}
         for _ in range(5):
             a, b = rng.choice(len(items), size=2, replace=False)
             item_a, item_b = items[a], items[b]
-            delta = graph.node_weight(item_a) * 0.1
-            solver.update_node_weight(
-                item_a, graph.node_weight(item_a) - delta
-            )
-            solver.update_node_weight(
-                item_b, graph.node_weight(item_b) + delta
-            )
-        result = solver.resolve()
-        fresh = greedy_solve(graph, keep, "independent")
-        assert result.retained == fresh.retained
-        print(
-            f"  week {week}: reused {solver.last_reused_prefix}/{keep} "
-            f"greedy picks, cover = {result.cover:.4f}"
+            weight_a = weights.get(item_a, graph.node_weight(item_a))
+            weight_b = weights.get(item_b, graph.node_weight(item_b))
+            weights[item_a] = weight_a * 0.9
+            weights[item_b] = weight_b + weight_a * 0.1
+        previous = set(served.retained)
+        served = service.apply_delta(
+            GraphDelta(node_weights=weights, sequence=week)
         )
-
+        fresh = greedy_solve(service.graph, k=keep, variant="independent")
+        assert served.retained == fresh.retained
+        swapped = len(set(served.retained) - previous)
+        print(
+            f"  week {week}: served cover = {served.cover:.4f}, "
+            f"{swapped} item(s) swapped into the kept set"
+        )
 
 if __name__ == "__main__":
     main()

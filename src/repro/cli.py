@@ -823,7 +823,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "snapshot exists")
     serve.add_argument("--drift-periods", type=int, default=0,
                        help="apply this many graph deltas mid-workload "
-                            "(exercises incremental refresh + hot swap)")
+                            "(exercises the cold-solve refresh + hot swap)")
     serve.add_argument("--drift-sigma", type=float, default=0.15,
                        help="popularity shock size per drift period")
     serve.add_argument("--metrics-port", type=int, default=None,

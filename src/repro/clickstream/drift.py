@@ -11,8 +11,10 @@ across discrete periods (think weeks):
   re-drawn — substitution preferences drift too.
 
 Each period yields a fresh clickstream and the corresponding
-ground-truth preference graph, which is exactly what
-:class:`repro.extensions.incremental.IncrementalSolver` consumes.
+ground-truth preference graph.  :func:`graph_delta` turns two graphs
+into a :class:`GraphDelta`, which an
+:class:`~repro.serving.AssortmentService` merges into its graph before
+one cold re-solve of the merged CSR.
 """
 
 from __future__ import annotations
@@ -63,7 +65,8 @@ class GraphDelta:
     (consecutive periods of a :class:`DriftingMarket`, a diff of two
     observed graphs, or a synthetic :func:`random_delta`) tells the
     :class:`~repro.serving.AssortmentService` that its active snapshot
-    no longer describes the market, triggering an incremental re-solve.
+    no longer describes the market, triggering a cold re-solve of the
+    updated graph.
 
     Attributes:
         node_weights: items whose request probability changed, mapped to

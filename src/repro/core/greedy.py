@@ -460,8 +460,7 @@ def accelerated_step(
     """One iteration of the accelerated greedy: select, commit, patch gains.
 
     ``force`` overrides the argmax selection with a specific node (used
-    by the incremental solver when replaying a previous order); the gain
-    bookkeeping is identical either way.
+    by the quota solver); the gain bookkeeping is identical either way.
 
     Adding the selected node ``v*`` perturbs candidate gains in exactly
     three ways, each patched in place on ``gains.values``:
@@ -476,7 +475,7 @@ def accelerated_step(
        only ``u``'s self term changes.
 
     Returns ``(best, gain)``.  Shared by :func:`greedy_solve` and the
-    threshold, incremental and quota solvers.
+    threshold and quota solvers.
     """
     csr = state.csr
     variant = state.variant

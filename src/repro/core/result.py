@@ -62,9 +62,8 @@ class SolveResult:
             ceiling) when ``interrupted`` is set.
         context_digest: hex fingerprint of the solve's full context —
             graph content, variant, stopping rule and parameters —
-            attached by the :func:`repro.solve` facade (and the
-            incremental solver); ``None`` when a solver was invoked
-            directly.  Two results with equal digests answer the same
+            attached by the :func:`repro.solve` facade; ``None`` when
+            a solver was invoked directly.  Two results with equal digests answer the same
             question about the same graph, which is what the serving
             layer keys its snapshot cache on.
     """

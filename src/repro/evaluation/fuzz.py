@@ -55,7 +55,6 @@ _MODES: Tuple[Tuple[str, int], ...] = (
     ("capacity", 2),
     ("quotas", 2),
     ("revenue", 2),
-    ("incremental", 2),
     ("serving", 1),
 )
 
@@ -297,8 +296,6 @@ def generate_case(rng: random.Random, *, max_items: int = 48) -> FuzzCase:
             [item, round(rng.uniform(0.1, 2.0), 3)] for item in items
         ]
         case.k = k
-    elif case.mode == "incremental":
-        case.k = k
     elif case.mode == "serving":
         case.k = k
         case.delta_seed = rng.randrange(1 << 16)
@@ -341,25 +338,7 @@ def run_case(case: FuzzCase) -> Tuple[List[InvariantViolation], int]:
     )
     records: List[SolveRecord] = []
     try:
-        if case.mode == "incremental":
-            from ..extensions.incremental import IncrementalSolver
-
-            solver = IncrementalSolver(
-                graph, k=case.k, variant=variant, validate=False
-            )
-            result = solver.solve()
-            records.append(SolveRecord(
-                graph=graph, variant=variant, mode=case.mode,
-                result=result, params={"k": case.k},
-            ))
-            resolved = solver.resolve()
-            if list(resolved.retained) != list(result.retained):
-                return [InvariantViolation(
-                    "digest-stability",
-                    "IncrementalSolver.resolve() on an unchanged graph "
-                    "selected a different retained set",
-                )], 1
-        elif case.mode == "serving":
+        if case.mode == "serving":
             from ..clickstream.drift import random_delta
             from ..serving import AssortmentService
 
@@ -576,6 +555,13 @@ def load_artifact(path) -> Tuple[FuzzCase, Dict]:
         raise ValueError(
             f"unsupported fuzz artifact version {version!r} "
             f"(expected {ARTIFACT_VERSION})"
+        )
+    # An unknown mode would otherwise run as a plain k solve.
+    mode = payload["case"].get("mode")
+    if mode not in dict(_MODES):
+        raise ValueError(
+            f"unsupported fuzz artifact mode {mode!r} (expected one of "
+            f"{', '.join(dict(_MODES))})"
         )
     return FuzzCase.from_dict(payload["case"]), payload
 

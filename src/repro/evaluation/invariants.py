@@ -8,7 +8,8 @@ solver must return exactly the shortest qualifying greedy prefix.  None
 of these oracles share code with the solvers (they recompute ``C``
 from scratch through :mod:`repro.core.cover`), so any solver path —
 strategy, extension, serving snapshot — can be checked
-against them independently.
+against them independently.  The one differential oracle,
+``serving-cold-solve``, holds the serving path to the offline solve.
 
 Every oracle is an :class:`Invariant` in the module registry:
 
@@ -43,6 +44,11 @@ Every oracle is an :class:`Invariant` in the module registry:
     a serving snapshot's answers equal offline recomputation exactly
     (the serving layer's transparency guarantee), including after
     :class:`~repro.clickstream.drift.GraphDelta` churn.
+``serving-cold-solve``
+    a serving snapshot's ``retained`` list, ``cover`` and
+    ``conditional`` are bitwise those of a cold :func:`repro.solve` on
+    the snapshot's own CSR: a refresh serves what an offline solve of
+    the same graph state answers.
 
 Adding a solver feature?  Register its oracle here with
 :func:`register_invariant` and the fuzzer picks it up automatically —
@@ -69,13 +75,11 @@ NOISE = 1e-9
 #: Modes whose ``result.cover`` is a probability cover recomputable by
 #: :func:`repro.core.cover.cover` on the record's graph (``revenue``
 #: solves a *scaled* graph and is checked separately).
-_COVER_MODES = (
-    "k", "threshold", "capacity", "quotas", "incremental", "serving",
-)
+_COVER_MODES = ("k", "threshold", "capacity", "quotas", "serving")
 
 #: Modes produced by the plain greedy chain, where marginal gains must
 #: be non-increasing (constrained passes may legally reorder).
-_GREEDY_MODES = ("k", "threshold", "incremental", "serving")
+_GREEDY_MODES = ("k", "threshold", "serving")
 
 
 @dataclass
@@ -483,4 +487,39 @@ def _check_serving_offline(record: SolveRecord) -> Optional[str]:
             f"snapshot cover {snapshot.result.cover!r} != offline "
             f"recomputation {offline_cover!r}"
         )
+    return None
+
+
+@register_invariant(
+    "serving-cold-solve",
+    applies=lambda r: (
+        r.snapshot is not None and not r.snapshot.result.interrupted
+    ),
+    description="served retained list, cover and conditional are "
+                "bitwise those of a cold repro.solve on the snapshot's CSR",
+)
+def _check_serving_cold_solve(record: SolveRecord) -> Optional[str]:
+    from .. import facade
+    from ..resilience.faults import inject_faults
+
+    snapshot = record.snapshot
+    with inject_faults(None):  # the reference runs unfaulted
+        cold = facade.solve(
+            snapshot.graph, variant=record.variant,
+            k=record.params.get("k"),
+            threshold=record.params.get("threshold"),
+        )
+    if list(snapshot.retained) != list(cold.retained):
+        return (
+            f"served retained {list(snapshot.retained)!r} != cold "
+            f"solve's {list(cold.retained)!r}"
+        )
+    if snapshot.cover != cold.cover:
+        return (
+            f"served cover {snapshot.cover!r} != cold solve's "
+            f"{cold.cover!r}"
+        )
+    offline = item_coverage(snapshot.graph, cold.retained, record.variant)
+    if not np.array_equal(snapshot.conditional, offline):
+        return "served conditional differs from the cold solve's"
     return None

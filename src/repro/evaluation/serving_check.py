@@ -21,9 +21,12 @@ Checked per instance:
   acceptance weight;
 * a second ``ensure`` is a cache hit returning the identical snapshot
   object (no silent re-solve);
+* the snapshot's ``retained`` list, ``cover`` and conditional vector
+  are bitwise those of a cold :func:`repro.solve` on its own CSR (the
+  registry's ``serving-cold-solve`` invariant);
 * after a random :class:`~repro.clickstream.drift.GraphDelta` the
-  refreshed snapshot passes the same differential against the *updated*
-  graph, and its cover matches a from-scratch facade solve.
+  refreshed snapshot passes the same checks against the *updated*
+  graph, and its cover matches an offline ``cover()`` recomputation.
 
 Exposed on the CLI as ``repro check --serving`` and run in CI by the
 serving-smoke job.
@@ -39,12 +42,14 @@ import numpy as np
 
 from ..clickstream.drift import random_delta
 from ..core.cover import cover, item_coverage
+from ..core.variants import Variant
 from ..serving import AssortmentService
 from ..workloads.graphs import (
     bounded_degree_graph,
     random_preference_graph,
     small_dense_graph,
 )
+from .invariants import SolveRecord, check_record
 
 #: Instance generators cycled per case (same trio as the solver
 #: differential: sparse cluster-local, dense, degree-bounded).
@@ -107,6 +112,19 @@ class ServingReport:
 def _check_snapshot(record, variant, instance, service, snapshot, rng):
     """All read-path checks of one snapshot against the offline reference."""
     graph = snapshot.graph
+    violations = check_record(
+        SolveRecord(
+            graph=graph, variant=Variant.coerce(variant), mode="serving",
+            result=snapshot.result,
+            params={"k": service.k, "threshold": service.threshold},
+            snapshot=snapshot,
+        ),
+        names=("serving-cold-solve",),
+    )
+    record(
+        variant, instance, "cold-solve",
+        violations[0].detail if violations else None,
+    )
     offline = item_coverage(graph, snapshot.result.retained, variant)
     record(
         variant, instance, "coverage-vector",

@@ -1,7 +1,6 @@
 """Extensions implementing the paper's stated future-work directions."""
 
 from .capacity import budget_spent, capacity_greedy_solve
-from .incremental import IncrementalSolver
 from .quotas import category_counts, quota_greedy_solve
 from .revenue import (
     expected_revenue,
@@ -10,7 +9,6 @@ from .revenue import (
 )
 
 __all__ = [
-    "IncrementalSolver",
     "budget_spent",
     "capacity_greedy_solve",
     "category_counts",

@@ -120,9 +120,7 @@ def solve(
             violation).  Successful checks are memoized per graph
             object, so repeat solves over the same graph pay nothing;
             pass ``validated=True`` to skip the check entirely when the
-            graph is known-valid — the fast path the serving refresh
-            loop uses so a fresh snapshot does not cost an extra O(m)
-            sweep.
+            graph is known-valid.
 
     Returns:
         :class:`~repro.core.result.SolveResult` with

@@ -9,8 +9,8 @@ subpackage is the online side that *serves* it:
   atomically;
 * :class:`AssortmentService` — ``query`` / ``covered_probability`` /
   ``top_alternatives`` answered in O(degree) from precomputed coverage
-  vectors, never by re-solving; graph deltas trigger an incremental
-  background re-solve;
+  vectors, never by re-solving; a graph delta triggers one cold
+  :func:`repro.solve` on the updated graph's cached CSR;
 * :class:`ServingRuntime` — the fault-tolerance layer: retried
   refreshes with seeded-jitter backoff (:class:`RetryPolicy`), a
   :class:`CircuitBreaker` on the refresh path, monotone degradation

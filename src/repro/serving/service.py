@@ -8,9 +8,9 @@ coverage vectors from the snapshot: a point lookup is O(1), an
 alternatives listing is O(out-degree).  Solving happens in exactly two
 places — the first :meth:`ensure` (cold miss) and :meth:`refresh` after
 a :class:`~repro.clickstream.drift.GraphDelta` invalidated the active
-snapshot — and the refresh path reuses the stable greedy prefix through
-:class:`~repro.extensions.incremental.IncrementalSolver` instead of
-starting over.
+snapshot — and both make the same cold :func:`repro.solve` call on the
+graph's cached CSR, so a served answer is bitwise the answer an offline
+solve of that graph gives.
 
 Snapshot replacement is an atomic reference swap: a query thread reads
 ``self._active`` once and answers entirely from that immutable object,
@@ -32,7 +32,6 @@ from ..core.csr import as_csr
 from ..core.graph import PreferenceGraph
 from ..core.variants import Variant
 from ..errors import ReproError, ServingError
-from ..extensions.incremental import IncrementalSolver
 from ..observability import MetricsRegistry, logs
 from ..resilience.faults import InjectedRefreshFailure, active_faults
 from .store import SolutionSnapshot, SolutionStore
@@ -44,10 +43,10 @@ class AssortmentService:
     """Serves assortment queries from cached solve snapshots.
 
     Args:
-        graph: the market's preference graph.  A mutable
-            :class:`~repro.core.graph.PreferenceGraph` enables the
-            incremental delta/refresh path; a ``CSRGraph`` is accepted
-            for read-only serving.
+        graph: the market's preference graph, a
+            :class:`~repro.core.graph.PreferenceGraph` or a ``CSRGraph``;
+            a ``CSRGraph`` is converted to the graph's bulk form, so
+            either input takes deltas.
         variant: Preference Cover variant (enum or plain string).
         k: retained-set size (mutually exclusive with ``threshold``).
         threshold: cover target for minimization-style serving.
@@ -57,11 +56,6 @@ class AssortmentService:
             identical questions.
         metrics: a :class:`~repro.observability.MetricsRegistry`
             receiving serving telemetry (``serving.*`` instruments).
-        validate_deltas: re-validate the graph after every applied
-            delta.  Off by default: the delta sources in this package
-            preserve the model invariants by construction, and the
-            whole point of the ``validated`` fast path is that a
-            refresh does not pay an O(m) sweep per snapshot.
     """
 
     def __init__(
@@ -73,7 +67,6 @@ class AssortmentService:
         threshold: Optional[float] = None,
         store: Optional[SolutionStore] = None,
         metrics: Optional[MetricsRegistry] = None,
-        validate_deltas: bool = False,
     ) -> None:
         if (k is None) == (threshold is None):
             raise ServingError(
@@ -86,7 +79,6 @@ class AssortmentService:
         self.store = store if store is not None else SolutionStore(
             metrics=self.metrics
         )
-        self.validate_deltas = validate_deltas
         if isinstance(graph, PreferenceGraph):
             self._graph = graph
         else:
@@ -94,11 +86,6 @@ class AssortmentService:
             # apply.
             self._graph = as_csr(graph).to_preference_graph()
         self._graph.validate(self.variant)
-        self._solver: Optional[IncrementalSolver] = None
-        if k is not None:
-            self._solver = IncrementalSolver(
-                self._graph, k=k, variant=self.variant, validate=False
-            )
         self._active: Optional[SolutionSnapshot] = None
         self._refresh_lock = threading.Lock()
         self._sequence = 0
@@ -123,7 +110,13 @@ class AssortmentService:
         )
 
     def _solve_snapshot(self, key: str) -> SolutionSnapshot:
-        """Run the solver and freeze its output into a snapshot."""
+        """Solve the current graph cold and freeze the result.
+
+        The solve validates the graph's CSR (memoized per graph state),
+        so a delta that broke the model's invariants fails the refresh
+        with :class:`~repro.errors.GraphValidationError` instead of
+        being served.
+        """
         injector = active_faults()
         if injector is not None:
             # The refresh loop is a supervised worker from the chaos
@@ -137,18 +130,12 @@ class AssortmentService:
                     f"injected refresh failure at sequence "
                     f"{self._sequence} (fault injection)"
                 )
-        csr = self.current_csr()
-        if self._solver is not None:
-            result = self._solver.resolve() \
-                if self._solver.last_result is not None \
-                else self._solver.solve()
-        else:
-            from .. import facade
+        from .. import facade
 
-            result = facade.solve(
-                csr, variant=self.variant, threshold=self.threshold,
-                validated=True,
-            )
+        csr = self.current_csr()
+        result = facade.solve(
+            csr, variant=self.variant, k=self.k, threshold=self.threshold,
+        )
         return SolutionSnapshot.build(
             key, csr, self.variant, result,
             sequence=self._sequence,
@@ -298,8 +285,6 @@ class AssortmentService:
             raise
         self._sequence = delta.sequence
         self.metrics.incr("serving.deltas_applied")
-        if self.validate_deltas:
-            self._graph.validate(self.variant)
         return True
 
     def adopt(self, snapshot: SolutionSnapshot) -> SolutionSnapshot:

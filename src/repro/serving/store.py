@@ -78,7 +78,7 @@ class SolutionSnapshot:
         The conditional coverage is recomputed from the retained set by
         :func:`~repro.core.cover.item_coverage` rather than taken from
         ``result.coverage``, so snapshots built from *any* solver path
-        (greedy, incremental, interrupted prefix) satisfy the serving
+        (greedy, threshold, interrupted prefix) satisfy the serving
         layer's differential guarantee by construction.
         """
         conditional = item_coverage(graph, result.retained, variant)

@@ -15,7 +15,6 @@ import pytest
 from repro.core.csr import CSRGraph
 from repro.core.greedy import AcceleratedGains, greedy_solve
 from repro.core.threshold import greedy_threshold_solve
-from repro.extensions.incremental import IncrementalSolver
 from repro.workloads.graphs import random_preference_graph
 
 
@@ -83,28 +82,6 @@ class TestSolversAgreeEveryRound:
         graph = random_preference_graph(400, variant=variant, seed=11)
         result = greedy_threshold_solve(graph, threshold=0.6, variant=variant)
         assert checked_rounds == result.retained_indices.tolist()
-
-    def test_incremental_replay(self, checked_rounds, variant):
-        graph = random_preference_graph(
-            200, variant=variant, seed=5
-        ).to_preference_graph()
-        solver = IncrementalSolver(graph, k=40, variant=variant)
-        first = solver.solve()
-        checked_rounds.clear()
-        # Move half of the 31st pick's mass to an unpicked item: the
-        # replay keeps a prefix, then diverges.
-        low = first.retained[30]
-        high = next(i for i in graph.items() if i not in first.retained)
-        shift = graph.node_weight(low) * 0.5
-        solver.update_node_weight(low, graph.node_weight(low) - shift)
-        solver.update_node_weight(high, graph.node_weight(high) + shift)
-        resolved = solver.resolve()
-        assert 0 < solver.last_reused_prefix < 40
-        # One selector call per replay check, one per fresh pick, and
-        # the replay broke on the first check that failed.
-        assert len(checked_rounds) == 40 + 1
-        fresh = greedy_solve(graph, k=40, variant=variant)
-        assert resolved.retained == fresh.retained
 
     def test_edge_weight_above_one_within_tolerance(self, checked_rounds):
         # Weights of 1 + 5e-7 pass validation but drive deficits below

@@ -114,26 +114,39 @@ class TestGeneration:
 
 class TestIncrementalAcrossDrift:
     def test_incremental_solver_tracks_market(self):
-        """End-to-end: re-solving each period matches fresh greedy."""
+        """End-to-end: each period's delta refresh is a cold solve."""
+        import repro
         from repro.adaptation import build_preference_graph
-        from repro.core.greedy import greedy_solve
-        from repro.extensions.incremental import IncrementalSolver
+        from repro.clickstream.drift import graph_delta
+        from repro.core.cover import item_coverage
+        from repro.serving import AssortmentService
 
         market = DriftingMarket(
             ShopperConfig(n_items=60),
             DriftConfig(popularity_sigma=0.1, acceptance_churn=0.0),
             seed=11,
         )
-        solver = None
+        service = previous = None
         for period, stream, _truth in market.run(3, 8_000):
             graph = build_preference_graph(stream, "independent")
-            fresh = greedy_solve(graph, 10, "independent")
-            # A new graph object per period: rebuild the solver but the
-            # previous order can still be replayed against it.
-            if solver is None:
-                solver = IncrementalSolver(graph, 10, "independent")
-                result = solver.solve()
+            if service is None:
+                service = AssortmentService(
+                    graph, variant="independent", k=10
+                )
+                snapshot = service.ensure()
             else:
-                solver.graph = graph
-                result = solver.resolve()
-            assert result.retained == fresh.retained
+                snapshot = service.apply_delta(
+                    graph_delta(previous, graph, sequence=period)
+                )
+                assert snapshot.sequence == period
+            previous = graph
+            cold = repro.solve(snapshot.graph, variant="independent", k=10)
+            assert snapshot.retained == cold.retained
+            assert snapshot.cover == cold.cover
+            assert np.array_equal(
+                snapshot.conditional,
+                item_coverage(snapshot.graph, cold.retained, "independent"),
+            )
+            fresh = repro.solve(graph, variant="independent", k=10)
+            assert set(snapshot.retained) == set(fresh.retained)
+            assert snapshot.cover == pytest.approx(fresh.cover, abs=1e-12)

@@ -62,7 +62,7 @@ class TestExamples:
     def test_assortment_over_time(self):
         out = run_example("assortment_over_time.py")
         assert "week" in out
-        assert "incremental solver" in out
+        assert "solved cold" in out
 
     def test_category_quotas(self):
         out = run_example("category_quotas.py")

@@ -1,19 +1,21 @@
-"""Tests for the future-work extensions: revenue, capacity, incremental."""
+"""Tests for the future-work extensions: revenue, capacity, incremental
+maintenance."""
 
 import numpy as np
 import pytest
 
+from repro.clickstream.drift import GraphDelta
 from repro.core.cover import cover
 from repro.core.csr import as_csr
 from repro.core.greedy import greedy_solve
 from repro.errors import SolverError
 from repro.extensions.capacity import budget_spent, capacity_greedy_solve
-from repro.extensions.incremental import IncrementalSolver
 from repro.extensions.revenue import (
     expected_revenue,
     revenue_greedy_solve,
     revenue_scaled_graph,
 )
+from repro.serving import AssortmentService
 from repro.workloads.graphs import random_preference_graph
 
 
@@ -126,100 +128,88 @@ class TestCapacity:
 
 
 class TestIncremental:
-    def make_solver(self, variant, k=20, n=150):
+    """§7 incremental maintenance: a service refreshed by graph deltas.
+
+    Every refresh is a cold greedy solve of the updated graph, so the
+    served selection must equal a fresh ``greedy_solve`` of it.
+    """
+
+    def make_service(self, variant, k=20, n=150):
         graph = random_preference_graph(n, variant=variant, seed=8)
-        return IncrementalSolver(
-            graph.to_preference_graph(), k=k, variant=variant
-        )
+        service = AssortmentService(graph, variant=variant, k=k)
+        return service, service.ensure()
+
+    @staticmethod
+    def assert_fresh(service, snapshot):
+        fresh = greedy_solve(service.graph, k=service.k,
+                             variant=service.variant)
+        assert snapshot.retained == fresh.retained
+        assert snapshot.cover == fresh.cover
+
+    @staticmethod
+    def shift(service, source, target, fraction):
+        """A delta moving ``fraction`` of ``source``'s weight to ``target``."""
+        graph = service.graph
+        mass = graph.node_weight(source) * fraction
+        return GraphDelta(node_weights={
+            source: graph.node_weight(source) - mass,
+            target: graph.node_weight(target) + mass,
+        }, sequence=service.stats()["sequence"] + 1)
 
     def test_initial_solve_matches_plain_greedy(self, variant):
-        solver = self.make_solver(variant)
-        result = solver.solve()
-        plain = greedy_solve(solver.graph, solver.k, variant)
-        assert result.retained == plain.retained
-        assert result.cover == pytest.approx(plain.cover, abs=1e-9)
+        service, first = self.make_service(variant)
+        self.assert_fresh(service, first)
 
     def test_resolve_after_noop_reuses_everything(self, variant):
-        solver = self.make_solver(variant)
-        solver.solve()
-        result = solver.resolve()
-        assert solver.last_reused_prefix == solver.k
-        fresh = greedy_solve(solver.graph, solver.k, variant)
-        assert result.retained == fresh.retained
+        service, first = self.make_service(variant)
+        again = service.refresh()
+        assert again.retained == first.retained
+        self.assert_fresh(service, again)
 
     def test_resolve_after_update_matches_fresh_greedy(self, variant):
-        solver = self.make_solver(variant)
-        first = solver.solve()
+        service, first = self.make_service(variant)
         # Promote a non-retained item by shifting weight from the top
         # retained item (keeps total weight at 1).
-        winner = first.retained[0]
-        loser = [i for i in solver.graph.items()
+        loser = [i for i in service.graph.items()
                  if i not in first.retained][0]
-        shift = solver.graph.node_weight(winner) * 0.8
-        solver.update_node_weight(
-            winner, solver.graph.node_weight(winner) - shift
+        second = service.apply_delta(
+            self.shift(service, first.retained[0], loser, 0.8)
         )
-        solver.update_node_weight(
-            loser, solver.graph.node_weight(loser) + shift
-        )
-        second = solver.resolve()
-        fresh = greedy_solve(solver.graph, solver.k, variant)
-        assert second.retained == fresh.retained
-        assert second.cover == pytest.approx(fresh.cover, abs=1e-9)
-        # The very first pick changed, so nothing could be reused.
-        assert solver.last_reused_prefix == 0
+        self.assert_fresh(service, second)
+        # The very first pick changed.
+        assert second.retained[0] != first.retained[0]
 
     def test_small_update_reuses_prefix(self, variant):
-        solver = self.make_solver(variant)
-        first = solver.solve()
+        service, first = self.make_service(variant)
         # Perturb the weight of the *last* retained item downward a bit;
-        # earlier picks stay optimal.
-        target = first.retained[-1]
-        other = [i for i in solver.graph.items()
+        # earlier picks stay optimal, so the served order keeps them.
+        other = [i for i in service.graph.items()
                  if i not in first.retained][0]
-        delta = solver.graph.node_weight(target) * 0.01
-        solver.update_node_weight(
-            target, solver.graph.node_weight(target) - delta
+        second = service.apply_delta(
+            self.shift(service, first.retained[-1], other, 0.01)
         )
-        solver.update_node_weight(
-            other, solver.graph.node_weight(other) + delta
-        )
-        second = solver.resolve()
-        fresh = greedy_solve(solver.graph, solver.k, variant)
-        assert second.retained == fresh.retained
-        assert solver.last_reused_prefix >= solver.k - 5
+        self.assert_fresh(service, second)
+        assert second.retained[:service.k - 5] == \
+            first.retained[:service.k - 5]
 
     def test_edge_update_consistency(self, variant):
-        solver = self.make_solver(variant, k=10, n=60)
-        solver.solve()
-        graph = solver.graph
+        service, _ = self.make_service(variant, k=10, n=60)
         # Remove one existing edge and re-solve.
-        source, target, _w = next(iter(graph.edges()))
-        solver.remove_edge(source, target)
-        second = solver.resolve()
-        fresh = greedy_solve(graph, 10, variant)
-        assert second.retained == fresh.retained
+        source, target, _w = next(iter(service.graph.edges()))
+        second = service.apply_delta(
+            GraphDelta(edge_removals=((source, target),), sequence=1)
+        )
+        assert not service.graph.has_edge(source, target)
+        self.assert_fresh(service, second)
 
     def test_add_item(self, variant):
-        solver = self.make_solver(variant, k=10, n=60)
-        solver.solve()
+        service, _ = self.make_service(variant, k=10, n=60)
         # Shift 10% of an existing item's mass onto a new item.
-        donor = next(iter(solver.graph.items()))
-        mass = solver.graph.node_weight(donor) * 0.1
-        solver.update_node_weight(
-            donor, solver.graph.node_weight(donor) - mass
-        )
-        solver.add_item("brand-new", mass)
-        second = solver.resolve()
-        fresh = greedy_solve(solver.graph, 10, variant)
-        assert second.retained == fresh.retained
-
-    def test_add_existing_item_rejected(self, variant):
-        solver = self.make_solver(variant, k=5, n=30)
-        existing = next(iter(solver.graph.items()))
-        with pytest.raises(SolverError, match="already exists"):
-            solver.add_item(existing, 0.0)
-
-    def test_requires_mutable_graph(self, medium_graph):
-        with pytest.raises(SolverError, match="mutable"):
-            IncrementalSolver(medium_graph, k=5, variant="independent")
+        donor = next(iter(service.graph.items()))
+        mass = service.graph.node_weight(donor) * 0.1
+        second = service.apply_delta(GraphDelta(node_weights={
+            donor: service.graph.node_weight(donor) - mass,
+            "brand-new": mass,
+        }, sequence=1))
+        assert "brand-new" in second.graph.items
+        self.assert_fresh(service, second)

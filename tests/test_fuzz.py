@@ -27,6 +27,7 @@ from repro.evaluation.invariants import (
     check_record,
     register_invariant,
 )
+from repro.serving import AssortmentService
 from repro.workloads.graphs import random_preference_graph
 
 
@@ -103,6 +104,28 @@ class TestOracles:
         )
         names = {v.invariant for v in check_record(record)}
         assert "coverage-accounting" in names
+
+    def test_tampered_serving_order_caught(self):
+        graph = random_preference_graph(12, variant="independent", seed=5)
+        snapshot = AssortmentService(
+            graph, variant="independent", k=5
+        ).ensure()
+        record = SolveRecord(
+            graph=snapshot.graph, variant=snapshot.variant, mode="serving",
+            result=snapshot.result, params={"k": 5}, snapshot=snapshot,
+        )
+        assert check_record(record) == []
+        swapped = list(snapshot.result.retained)
+        swapped[0], swapped[1] = swapped[1], swapped[0]
+        indices = snapshot.result.retained_indices.copy()
+        indices[[0, 1]] = indices[[1, 0]]
+        result = dataclasses.replace(
+            snapshot.result, retained=swapped, retained_indices=indices
+        )
+        record.result = result
+        record.snapshot = dataclasses.replace(snapshot, result=result)
+        names = {v.invariant for v in check_record(record)}
+        assert "serving-cold-solve" in names
 
     def test_tampered_coverage_array_caught(self, record):
         coverage = record.result.coverage.copy()
@@ -252,6 +275,13 @@ class TestArtifacts:
         case.update(workers=2, backend="shm")
         path.write_text(json.dumps({"version": 1, "case": case}))
         with pytest.raises(ValueError, match="version"):
+            load_artifact(path)
+        # A version-2 case of the removed incremental mode is refused by
+        # name rather than replayed as a plain k solve.
+        case = generate_case(random.Random(3), max_items=8).to_dict()
+        case.update(mode="incremental", k=2)
+        path.write_text(json.dumps({"version": 2, "case": case}))
+        with pytest.raises(ValueError, match="'incremental'"):
             load_artifact(path)
 
 

@@ -28,14 +28,13 @@ from repro.errors import (
     UnknownItemError,
     VariantError,
 )
-from repro.extensions.incremental import IncrementalSolver
 from repro.observability import MetricsRegistry
 from repro.resilience.faults import FaultInjector, InjectedCrash, inject_faults
 from repro.serving import (
     AssortmentService,
+    RetryPolicy,
     ServingFrontend,
     ServingRuntime,
-    SolutionSnapshot,
     SolutionStore,
 )
 from repro.workloads.graphs import random_preference_graph
@@ -44,6 +43,17 @@ from repro.workloads.graphs import random_preference_graph
 def make_service(variant="independent", n=120, k=12, seed=3, **kwargs):
     graph = random_preference_graph(n, variant=variant, seed=seed)
     return AssortmentService(graph, variant=variant, k=k, **kwargs)
+
+
+def assert_is_cold_solve(snapshot, **rule):
+    """The snapshot is bitwise a cold ``repro.solve`` of its own CSR."""
+    cold = repro.solve(snapshot.graph, variant=snapshot.variant, **rule)
+    assert snapshot.retained == cold.retained
+    assert snapshot.cover == cold.cover
+    assert np.array_equal(
+        snapshot.conditional,
+        item_coverage(snapshot.graph, cold.retained, snapshot.variant),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -275,6 +285,10 @@ class TestAssortmentService:
             snapshot.graph, snapshot.result.retained, "independent"
         )
         assert np.array_equal(snapshot.conditional, offline)
+        after = service.apply_delta(
+            random_delta(service.graph, sigma=0.1, seed=4, sequence=1)
+        )
+        assert_is_cold_solve(after, threshold=0.6)
 
     def test_apply_delta_refreshes_and_reuses_prefix(self):
         service = make_service(n=150, k=20, seed=21)
@@ -284,12 +298,19 @@ class TestAssortmentService:
         assert after is not before
         assert after.key != before.key
         assert service.active is after
-        # The incremental solver reused part of the stable prefix.
-        assert service._solver.last_reused_prefix >= 0
-        offline = item_coverage(
-            after.graph, after.result.retained, "independent"
-        )
-        assert np.array_equal(after.conditional, offline)
+        assert_is_cold_solve(before, k=20)
+        assert_is_cold_solve(after, k=20)
+
+    def test_warm_reads_add_no_store_miss_and_no_solve(self):
+        service = make_service(n=150, k=15, seed=11)
+        snapshot = service.ensure()
+        misses = service.store.misses
+        for item in snapshot.graph.items:
+            service.covered_probability(item)
+        service.covered_probability_many(snapshot.graph.items)
+        assert service.ensure() is snapshot
+        assert service.store.misses == misses == 1
+        assert service.metrics.timer("serving.solve").count == 1
 
     def test_stale_delta_is_dropped(self):
         service = make_service()
@@ -798,18 +819,6 @@ class TestApiSatellites:
         line_graph.add_item("D", 0.0)
         assert not line_graph.is_validated("independent")
 
-    def test_incremental_solver_validate_flag(self):
-        graph = random_preference_graph(
-            40, seed=6
-        ).to_preference_graph()
-        graph.add_item(list(graph.items())[0], 5.0)  # break the invariant
-        with pytest.raises(repro.GraphValidationError):
-            IncrementalSolver(graph, k=4, variant="independent").solve()
-        result = IncrementalSolver(
-            graph, k=4, variant="independent", validate=False
-        ).solve()
-        assert result.context_digest is not None
-
     def test_histogram_percentiles(self):
         metrics = MetricsRegistry()
         for value in range(1, 101):
@@ -862,3 +871,40 @@ class TestServingDifferentialHarness:
         )
         assert not report.ok
         assert "FAILURE" in report.summary()
+
+
+# ----------------------------------------------------------------------
+# A delta that breaks the model's invariants is never served
+# ----------------------------------------------------------------------
+class TestInvalidDelta:
+    @staticmethod
+    def service_and_delta():
+        service = AssortmentService(
+            random_preference_graph(40, seed=6), variant="independent", k=4
+        )
+        good = service.ensure()
+        item = good.graph.items[0]
+        return service, good, GraphDelta(node_weights={item: 5.0}, sequence=1)
+
+    def test_service_refresh_fails_and_keeps_the_last_good_snapshot(self):
+        service, good, delta = self.service_and_delta()
+        with pytest.raises(repro.GraphValidationError):
+            service.apply_delta(delta)
+        with pytest.raises(repro.GraphValidationError):
+            service.refresh()
+        assert service.active is good
+        assert service.refresh_failures == 2
+        assert service.metrics.counter("serving.refresh_failures").value == 2
+        item = good.graph.items[0]
+        assert service.covered_probability(item) == \
+            good.covered_probability(item)
+
+    def test_runtime_serves_the_last_good_snapshot_stale(self):
+        service, good, delta = self.service_and_delta()
+        runtime = ServingRuntime(
+            service,
+            retry=RetryPolicy(max_attempts=2, base_delay_s=0.0, jitter=0.0),
+        )
+        assert runtime.apply_delta(delta) is good
+        assert runtime.tier.name == "STALE"
+        assert service.refresh_failures == 2
