@@ -156,8 +156,13 @@ class PurchaseEncoding:
 
     def first_purchase_order(self) -> np.ndarray:
         """Codes of the purchased items, in order of first purchase."""
-        codes, first = np.unique(self.purchase, return_index=True)
-        return codes[np.argsort(first)]
+        purchase = self.purchase
+        rows = purchase.shape[0]
+        first = np.full(self.n_items, rows)  # ``rows``: never purchased
+        np.minimum.at(first, purchase, np.arange(rows))
+        codes = np.flatnonzero(first < rows).astype(purchase.dtype)
+        # First rows are distinct, so any sort gives the same order.
+        return codes[np.argsort(first[codes])]
 
     def pairs(self) -> AlternativePairs:
         """The distinct (purchase, alternative) pairs; computed once."""

@@ -13,12 +13,16 @@ stores the graph twice in compressed-sparse-row form:
   updates.
 
 Items are mapped to dense integer indices ``0..n-1``; the original ids are
-kept in :attr:`items` for reporting.
+kept in :attr:`items` for reporting.  Default ids (:meth:`from_arrays`
+without ``items``) are ``range(n)``, looked up by arithmetic rather than
+through a table.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional, Sequence, Tuple
+from typing import (
+    Hashable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -57,7 +61,8 @@ class CSRGraph:
         out_ptr: np.ndarray,
         out_dst: np.ndarray,
         out_weight: np.ndarray,
-        items: List[Hashable],
+        items: Sequence[Hashable],
+        index: Optional[Mapping[Hashable, int]] = None,
     ) -> None:
         self.node_weight = node_weight
         self.in_ptr = in_ptr
@@ -67,7 +72,13 @@ class CSRGraph:
         self.out_dst = out_dst
         self.out_weight = out_weight
         self.items = items
-        self._index_of = {item: i for i, item in enumerate(items)}
+        # ``index`` maps each of ``items`` to its position.  A caller
+        # that already holds that mapping passes it; it is only read from
+        # then on, so it may be shared with the caller.
+        self._index_of = (
+            index if index is not None
+            else {item: i for i, item in enumerate(items)}
+        )
         # Validation outcomes (per variant, at the default tolerance) and
         # the content digest are cached: the arrays below are frozen, so
         # both are immutable properties of the instance.
@@ -103,7 +114,7 @@ class CSRGraph:
         src = np.asarray(sources, dtype=np.int64)
         dst = np.asarray(targets, dtype=np.int64)
         wgt = np.asarray(weights, dtype=np.float64)
-        return cls._from_coo(node_weight, src, dst, wgt, items)
+        return cls._from_coo(node_weight, src, dst, wgt, items, index_of)
 
     @classmethod
     def from_arrays(
@@ -118,7 +129,8 @@ class CSRGraph:
 
         This is the fast path used by the synthetic dataset generators,
         which produce numpy arrays without ever materializing a
-        dictionary-backed graph.  ``items`` defaults to ``range(n)``.
+        dictionary-backed graph.  ``items`` defaults to ``range(n)``,
+        held as a ``range`` whose :meth:`index_of` is arithmetic.
         """
         node_weight = np.ascontiguousarray(node_weight, dtype=np.float64)
         edge_src = np.ascontiguousarray(edge_src, dtype=np.int64)
@@ -144,7 +156,10 @@ class CSRGraph:
                     "duplicate edges: the model has one probability per "
                     "ordered item pair"
                 )
-        item_list = list(items) if items is not None else list(range(n))
+        if items is None:
+            return cls._from_coo(node_weight, edge_src, edge_dst,
+                                 edge_weight, range(n), _RangeIndex(n))
+        item_list = list(items)
         if len(item_list) != n:
             raise GraphValidationError(
                 f"items length {len(item_list)} != node count {n}"
@@ -159,15 +174,34 @@ class CSRGraph:
         src: np.ndarray,
         dst: np.ndarray,
         wgt: np.ndarray,
-        items: List[Hashable],
+        items: Sequence[Hashable],
+        index: Optional[Mapping[Hashable, int]] = None,
     ) -> "CSRGraph":
+        """Group the edges by destination and by source, each row in
+        input order; ``index`` is handed to the constructor."""
         n = node_weight.shape[0]
+        m = src.shape[0]
+        if n * m > np.iinfo(np.int64).max:
+            raise GraphValidationError(
+                f"{n} items x {m} edges overflows the int64 sort keys"
+            )
 
         def group(keys: np.ndarray, companions: Tuple[np.ndarray, ...]):
-            order = np.argsort(keys, kind="stable")
-            ptr = np.zeros(n + 1, dtype=np.int64)
-            np.add.at(ptr, keys + 1, 1)
-            np.cumsum(ptr, out=ptr)
+            ptr = np.empty(n + 1, dtype=np.int64)
+            ptr[0] = 0
+            np.cumsum(np.bincount(keys, minlength=n), out=ptr[1:])
+            if np.all(keys[1:] >= keys[:-1]):
+                # Already grouped (a source-sorted COO's out-rows): the
+                # input order is the stable order.
+                return ptr, tuple(c.copy() for c in companions)
+            # ``key * m + position`` is distinct per edge, so one plain
+            # sort orders the edges by key and, within a key, by input
+            # position: the order a stable argsort gives, without its
+            # merge sort.
+            order = keys * np.int64(m)
+            order += np.arange(m, dtype=np.int64)
+            order.sort()
+            np.remainder(order, m, out=order)
             return ptr, tuple(c[order] for c in companions)
 
         in_ptr, (in_src, in_weight) = group(dst, (src, wgt))
@@ -176,7 +210,7 @@ class CSRGraph:
             node_weight,
             in_ptr, in_src, in_weight,
             out_ptr, out_dst, out_weight,
-            items,
+            items, index,
         )
 
     # ------------------------------------------------------------------
@@ -327,6 +361,33 @@ class CSRGraph:
 
     def __repr__(self) -> str:
         return f"CSRGraph(n_items={self.n_items}, n_edges={self.n_edges})"
+
+
+class _RangeIndex(Mapping):
+    """``{i: i for i in range(n)}``, answered by arithmetic.
+
+    A dict finds ``x`` among the keys ``0..n-1`` exactly when
+    ``hash(x)`` is one of them and equals ``x`` (ints below ``2**61 - 1``
+    hash to themselves), so ``True``, ``3.0`` or ``np.int64(3)`` are
+    found as in the dict, and an unhashable item raises ``TypeError``.
+    """
+
+    __slots__ = ("_n",)
+
+    def __init__(self, n: int) -> None:
+        self._n = n
+
+    def __getitem__(self, item: Hashable) -> int:
+        position = hash(item)
+        if 0 <= position < self._n and position == item:
+            return position
+        raise KeyError(item)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(self._n))
+
+    def __len__(self) -> int:
+        return self._n
 
 
 def key_positions(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:

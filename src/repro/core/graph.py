@@ -95,13 +95,14 @@ class _Arrays:
 
         Stably sorting the edges by source gives out-rows in insertion
         order and in-rows by ascending source index, the layout
-        ``from_preference_graph`` reads off the dicts.
+        ``from_preference_graph`` reads off the dicts.  The CSR shares
+        ``index``, which nothing writes to.
         """
         if self._csr is None:
             order = np.argsort(self.src, kind="stable")
             self._csr = CSRGraph._from_coo(
                 self.node_weight, self.src[order], self.dst[order],
-                self.weight[order], list(self.items),
+                self.weight[order], list(self.items), self.index,
             )
         return self._csr
 

@@ -84,9 +84,13 @@ def solve(
     tracer: Optional[SolverTrace] = None,
     checkpoint=None,
     guard=None,
-    validated: bool = False,
 ):
     """Solve a Preference Cover problem through one unified entry point.
+
+    The graph's invariants are checked before solving (raising
+    :class:`~repro.errors.GraphValidationError` on violation).
+    Successful checks are memoized per graph object, so repeat solves
+    over the same graph pay nothing.
 
     Args:
         graph: ``PreferenceGraph`` or ``CSRGraph``.
@@ -115,12 +119,6 @@ def solve(
             :class:`~repro.errors.SolverInterrupted` or returning the
             partial result flagged ``interrupted=True``, per the
             guard's ``on_trigger``.
-        validated: the graph's invariants are checked before solving
-            (raising :class:`~repro.errors.GraphValidationError` on
-            violation).  Successful checks are memoized per graph
-            object, so repeat solves over the same graph pay nothing;
-            pass ``validated=True`` to skip the check entirely when the
-            graph is known-valid.
 
     Returns:
         :class:`~repro.core.result.SolveResult` with
@@ -142,8 +140,7 @@ def solve(
             raise SolverError(f"{name} must be a number, got bool")
     variant = Variant.coerce(variant)
     graph = as_csr(graph)
-    if not validated:
-        graph.validate(variant)
+    graph.validate(variant)
     options = _check_mapping("constraints", constraints, CONSTRAINT_KEYS)
     goal = _check_mapping("objective", objective, OBJECTIVE_KEYS)
 

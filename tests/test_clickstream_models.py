@@ -2,10 +2,18 @@
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.clickstream.io import read_jsonl
-from repro.clickstream.models import Clickstream, Session, sessions_from_dicts
+from repro.clickstream.models import (
+    Clickstream,
+    PurchaseEncoding,
+    Session,
+    sessions_from_dicts,
+)
 from repro.errors import ClickstreamFormatError
 
 
@@ -170,6 +178,25 @@ class TestPurchaseEncoding:
             encoding = stream.encoding()
             assert encoding.n_purchases == 0
             assert encoding.pairs().support.size == 0
+            assert encoding.first_purchase_order().size == 0
+
+    @given(
+        n_items=st.integers(1, 12),
+        codes=st.lists(st.integers(0, 11), max_size=40),
+        dtype=st.sampled_from([np.int32, np.int64]),
+    )
+    def test_first_purchase_order_matches_unique(self, n_items, codes, dtype):
+        purchase = np.array([c % n_items for c in codes], dtype=dtype)
+        encoding = PurchaseEncoding(
+            tuple(range(n_items)), purchase,
+            np.zeros(purchase.size + 1, dtype=dtype), np.empty(0, dtype),
+        )
+        # Reference: every code's first row through a full sort.
+        unique, first = np.unique(purchase, return_index=True)
+        expected = unique[np.argsort(first)]
+        got = encoding.first_purchase_order()
+        assert got.dtype == expected.dtype
+        assert got.tolist() == expected.tolist()
 
 
 class TestSessionsFromDicts:

@@ -795,17 +795,12 @@ class TestApiSatellites:
         assert issubclass(VariantError, ValueError)
         assert issubclass(ServingError, SolverError)
 
-    def test_facade_validates_by_default_and_skips_when_told(self):
+    def test_facade_validates_by_default(self):
         graph = repro.PreferenceGraph.from_weights(
             {"A": 0.9, "B": 0.9}, edges=[("A", "B", 0.5)]
         )  # weights sum to 1.8: invalid
         with pytest.raises(repro.GraphValidationError):
             repro.solve(graph, variant="independent", k=1)
-        # validated=True skips the sweep: the solve itself succeeds.
-        result = repro.solve(
-            graph, variant="independent", k=1, validated=True
-        )
-        assert len(result.selected) == 1
 
     def test_validation_is_memoized_per_graph_object(self, variant):
         graph = random_preference_graph(50, variant=variant, seed=2)
