@@ -10,14 +10,12 @@ Commands mirror the system architecture:
   (fixed ``k`` or coverage ``--threshold``).
 * ``pipeline``    — the end-to-end Figure 2 flow from a clickstream file.
 * ``stats``       — dataset/graph statistics (Table 2-style).
-* ``check``       — correctness harnesses; ``--differential`` proves the
-  greedy strategies and the threshold solver select identical sets on
-  random instances, ``--resilience`` proves killed+resumed solves match clean
-  ones, ``--serving`` proves served answers equal offline recomputation,
-  ``--fuzz`` runs the metamorphic fuzzer (adversarial instances checked
-  against the invariant registry, failures shrunk to replayable JSON
-  artifacts that ``--replay`` re-executes).  CI runs all of them at
-  ``--smoke`` size.
+* ``check``       — correctness checks: seeded cases checked against
+  the invariant registry, each failure shrunk to a replayable JSON
+  artifact that ``--replay`` re-executes.  ``--differential``,
+  ``--resilience``, ``--serving``, ``--serving-chaos`` and ``--fuzz``
+  are presets of that one engine; CI runs all of them at ``--smoke``
+  size.
 * ``serve``       — the assortment serving layer: solve once, then
   answer a synthetic async query workload from the cached snapshot with
   micro-batching, optional drift periods and a telemetry report.
@@ -459,9 +457,9 @@ def _cmd_events(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    if args.replay is not None:
-        from .evaluation.fuzz import replay_artifact
+    from .evaluation.fuzz import PRESETS, replay_artifact, run_fuzz
 
+    if args.replay is not None:
         violations = replay_artifact(args.replay)
         if violations:
             print(f"replay {args.replay}: still failing")
@@ -470,10 +468,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
             return 1
         print(f"replay {args.replay}: no longer reproduces")
         return 0
-    if not (
-        args.differential or args.resilience or args.serving
-        or args.serving_chaos or args.fuzz
-    ):
+    chosen = [
+        name for name in PRESETS if getattr(args, name.replace("-", "_"))
+    ]
+    if not chosen:
         print(
             "error: nothing to check; pass --differential, --resilience, "
             "--serving, --serving-chaos and/or --fuzz "
@@ -481,90 +479,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    instances = args.instances
-    max_items = args.max_items
     ok = True
-    if args.differential:
-        from .evaluation.differential import run_differential
-
-        if args.smoke:
-            d_instances = instances if instances is not None else 6
-            d_max_items = max_items if max_items is not None else 60
-        else:
-            d_instances = instances if instances is not None else 50
-            d_max_items = max_items if max_items is not None else 140
-        report = run_differential(
-            instances=d_instances,
-            max_items=d_max_items,
-            seed=args.seed,
-            log=print if args.verbose else None,
-        )
-        print(report.summary())
-        ok = ok and report.ok
-    if args.resilience:
-        from .evaluation.resilience import run_resilience_differential
-
-        if args.smoke:
-            r_instances = instances if instances is not None else 3
-            r_max_items = max_items if max_items is not None else 48
-        else:
-            r_instances = instances if instances is not None else 25
-            r_max_items = max_items if max_items is not None else 96
-        report = run_resilience_differential(
-            instances=r_instances,
-            max_items=r_max_items,
-            seed=args.seed,
-            log=print if args.verbose else None,
-        )
-        print("resilience " + report.summary())
-        ok = ok and report.ok
-    if args.serving:
-        from .evaluation.serving_check import run_serving_differential
-
-        if args.smoke:
-            s_instances = instances if instances is not None else 8
-            s_max_items = max_items if max_items is not None else 60
-        else:
-            s_instances = instances if instances is not None else 50
-            s_max_items = max_items if max_items is not None else 140
-        report = run_serving_differential(
-            instances=s_instances,
-            max_items=s_max_items,
-            seed=args.seed,
-            log=print if args.verbose else None,
-        )
-        print(report.summary())
-        ok = ok and report.ok
-    if args.serving_chaos:
-        from .evaluation.serving_chaos import run_serving_chaos
-
-        if args.smoke:
-            c_instances = instances if instances is not None else 4
-            c_max_items = max_items if max_items is not None else 48
-        else:
-            c_instances = instances if instances is not None else 20
-            c_max_items = max_items if max_items is not None else 96
-        report = run_serving_chaos(
-            instances=c_instances,
-            max_items=c_max_items,
-            seed=args.seed,
-            log=print if args.verbose else None,
-        )
-        print(report.summary())
-        ok = ok and report.ok
-    if args.fuzz:
-        from .evaluation.fuzz import run_fuzz
-
-        if args.smoke:
-            f_rounds = args.rounds if args.rounds is not None else 25
-            f_max_items = max_items if max_items is not None else 32
-        else:
-            f_rounds = args.rounds if args.rounds is not None else 50
-            f_max_items = max_items if max_items is not None else 48
+    for name in chosen:
+        rounds, max_items = PRESETS[name].smoke if args.smoke \
+            else PRESETS[name].full
         report = run_fuzz(
-            rounds=f_rounds,
+            preset=name,
+            rounds=rounds if args.rounds is None else args.rounds,
             seed=args.seed,
-            max_items=f_max_items,
+            max_items=max_items if args.max_items is None
+            else args.max_items,
             artifact_dir=args.artifact_dir,
             log=print if args.verbose else None,
         )
@@ -735,49 +659,45 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser(
         "check",
-        help="correctness harnesses (differential strategies, "
-             "resilience, serving, fuzz)",
+        help="correctness checks: seeded cases checked against the "
+             "invariant registry, failures shrunk to replayable "
+             "artifacts",
     )
     check.add_argument("--differential", action="store_true",
-                       help="run the differential correctness harness")
+                       help="preset: accelerated against naive, and "
+                            "threshold solves against the greedy order")
     check.add_argument("--resilience", action="store_true",
-                       help="run the crash/resume differential harness "
-                            "(kill at a random round, resume from "
-                            "checkpoints, compare with the clean solve)")
+                       help="preset: solves killed at a random round "
+                            "and resumed from checkpoints (one from a "
+                            "corrupt snapshot) against the clean solve")
     check.add_argument("--serving", action="store_true",
-                       help="run the serving differential harness "
-                            "(served answers must equal offline "
-                            "cover recomputation exactly)")
+                       help="preset: served answers against offline "
+                            "cover recomputation, before and after a "
+                            "delta (sometimes after a bad one)")
     check.add_argument("--serving-chaos", action="store_true",
-                       help="run the serving chaos harness (runtime "
-                            "invariants — bitwise answers, monotone "
-                            "degradation, recovery, warm restart — "
-                            "under injected refresh crashes/latency)")
+                       help="preset: the serving runtime under injected "
+                            "refresh crashes/latency (bitwise answers, "
+                            "tier ladder, recovery, warm restart)")
     check.add_argument("--fuzz", action="store_true",
-                       help="run the metamorphic fuzzer (adversarial "
-                            "instances checked against the invariant "
-                            "registry; failures shrink to minimal "
-                            "replayable JSON artifacts)")
+                       help="preset: adversarial instances and "
+                            "configurations across every solve mode")
     check.add_argument("--rounds", type=int, default=None,
-                       help="fuzz rounds (default: 50, or 25 with "
-                            "--smoke)")
+                       help="cases per preset (default: the preset's "
+                            "full or --smoke size)")
     check.add_argument("--replay", default=None, metavar="PATH",
-                       help="re-execute one dumped fuzz artifact "
+                       help="re-execute one dumped failure artifact "
                             "instead of sweeping")
     check.add_argument("--artifact-dir", default=None, metavar="DIR",
-                       help="where --fuzz dumps shrunken failure "
-                            "artifacts (default: no dumping)")
+                       help="where failures are dumped, shrunk, as "
+                            "replayable artifacts (default: no dumping)")
     check.add_argument("--smoke", action="store_true",
                        help="CI-sized sweep (fewer/smaller instances)")
-    check.add_argument("--instances", type=int, default=None,
-                       help="random instances per variant "
-                            "(default: 50, or 6 with --smoke)")
     check.add_argument("--max-items", type=int, default=None,
-                       help="largest instance size "
-                            "(default: 140, or 60 with --smoke)")
+                       help="largest instance size (default: the "
+                            "preset's full or --smoke size)")
     check.add_argument("--seed", type=int, default=0)
     check.add_argument("--verbose", action="store_true",
-                       help="print one progress line per instance")
+                       help="print one progress line per round")
     check.set_defaults(func=_cmd_check)
 
     serve = sub.add_parser(

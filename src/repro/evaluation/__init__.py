@@ -1,4 +1,4 @@
-"""Evaluation tooling: Monte-Carlo replay validation and metrics."""
+"""Evaluation tooling: replay validation, metrics and ``repro check``."""
 
 from .ascii_plot import bar_chart, figure_4c_plot, line_plot
 from .audit import (
@@ -13,13 +13,8 @@ from .curves import (
     marginal_gain_profile,
     threshold_curve,
 )
-from .differential import (
-    DifferentialFailure,
-    DifferentialReport,
-    compare_results,
-    run_differential,
-)
 from .fuzz import (
+    PRESETS,
     FuzzCase,
     FuzzFailure,
     FuzzReport,
@@ -35,6 +30,7 @@ from .invariants import (
     InvariantViolation,
     SolveRecord,
     check_record,
+    compare_results,
     register_invariant,
 )
 from .metrics import (
@@ -53,10 +49,8 @@ __all__ = [
     "HoldoutReport",
     "evaluate_holdout",
     "split_clickstream",
-    "DifferentialFailure",
-    "DifferentialReport",
     "compare_results",
-    "run_differential",
+    "PRESETS",
     "FuzzCase",
     "FuzzFailure",
     "FuzzReport",

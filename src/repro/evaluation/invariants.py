@@ -8,8 +8,9 @@ solver must return exactly the shortest qualifying greedy prefix.  None
 of these oracles share code with the solvers (they recompute ``C``
 from scratch through :mod:`repro.core.cover`), so any solver path —
 strategy, extension, serving snapshot — can be checked
-against them independently.  The one differential oracle,
-``serving-cold-solve``, holds the serving path to the offline solve.
+against them independently.  The differential oracles
+(``reference-parity``, ``serving-cold-solve``) hold one path to
+another: accelerated to naive, resumed to clean, served to offline.
 
 Every oracle is an :class:`Invariant` in the module registry:
 
@@ -49,6 +50,29 @@ Every oracle is an :class:`Invariant` in the module registry:
     ``conditional`` are bitwise those of a cold :func:`repro.solve` on
     the snapshot's own CSR: a refresh serves what an offline solve of
     the same graph state answers.
+``reference-parity``
+    a solve equals its reference solve through :func:`compare_results`
+    (accelerated against naive, resumed against clean).
+``threshold-prefix``
+    a threshold solve selects exactly the accelerated full order's
+    prefix of its length, and reaches its target.
+``interrupted-prefix``
+    an interrupted solve returns a flagged, non-empty prefix of the
+    full order; a zero-deadline run guard stops it before ``k``.
+``kill-fires`` / ``no-temp-checkpoints``
+    the injected ``kill_round`` crash fired, and the resume left no
+    ``.tmp-*`` checkpoint behind.
+``serving-reads`` / ``serving-alternatives`` / ``serving-cache-hit`` /
+``serving-hot-swap`` / ``bad-delta-rejected``
+    the service's point reads, ``query`` rows and alternatives agree
+    with offline recomputation; its active snapshot is the one just
+    built, and a cache hit; a bad delta is rejected whole.
+``served-bitwise`` / ``served-stamps`` / ``shed-only-at-shed`` /
+``tier-ladder`` / ``recovery`` / ``warm-restart``
+    the fault-tolerant runtime's answers stay bitwise and stamped at
+    every tier, its tier moves only as the degradation ladder allows,
+    it recovers once faults clear, and a warm restart restores the last
+    good snapshot.
 
 Adding a solver feature?  Register its oracle here with
 :func:`register_invariant` and the fuzzer picks it up automatically —
@@ -66,10 +90,13 @@ from ..core.cover import cover, coverage_vector, item_coverage
 from ..core.csr import as_csr
 from ..core.result import SolveResult
 from ..core.variants import Variant
+from ..errors import ReproError
 
-#: Marginal gains below this are floating-point noise (same floor as
-#: the differential harness); invariants over recomputed covers use it
-#: as the comparison tolerance.
+#: Marginal gains below this are floating-point noise: once the cover
+#: saturates, every remaining candidate is a numerical tie and the
+#: greedy argmax is ill-defined under finite-precision drift (the
+#: "near-exact ties" caveat documented in :mod:`repro.core.greedy`).
+#: Invariants over recomputed covers use it as the tolerance.
 NOISE = 1e-9
 
 #: Modes whose ``result.cover`` is a probability cover recomputable by
@@ -86,20 +113,25 @@ _GREEDY_MODES = ("k", "threshold", "serving")
 class SolveRecord:
     """Everything one fuzzed run hands to the invariant oracles.
 
-    Only ``graph`` / ``variant`` / ``mode`` / ``result`` are mandatory;
+    ``graph`` / ``variant`` / ``mode`` / ``result`` describe the solve
+    (``result`` is ``None`` only for a chaos phase that served nothing);
     optional fields unlock the cross-run oracles (``order`` for the
     prefix property, ``replay`` for digest stability, ``snapshot`` for
-    the serving differential).
+    the serving differential, ``reference`` for parity), and ``seen``
+    holds what a recorder observed around the solve (served reads,
+    tiers, a rejected delta's before and after).
     """
 
     graph: object  # CSRGraph
     variant: Variant
     mode: str
-    result: SolveResult
+    result: Optional[SolveResult]
     params: Dict = field(default_factory=dict)
     order: Optional[SolveResult] = None
     replay: Optional[SolveResult] = None
     snapshot: object = None  # serving SolutionSnapshot
+    reference: Optional[SolveResult] = None
+    seen: Dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -189,11 +221,115 @@ def check_record(
     return violations
 
 
+def compare_results(
+    reference: SolveResult,
+    candidate: SolveResult,
+    *,
+    noise: float = NOISE,
+) -> Optional[str]:
+    """Explain how ``candidate`` diverges from ``reference`` (or ``None``).
+
+    Selections must be *identical* (same items, same order) and covers
+    bit-equal — every path commits the same nodes through the same
+    ``AddNode`` arithmetic, so even floating-point accumulation must
+    agree exactly.  The single sanctioned exception is the saturated
+    tail: when the reference's marginal gain at the divergence point is
+    already below ``noise``, every remaining candidate is a numerical
+    tie (incrementally-patched gain arrays drift by ~1 ulp and flip the
+    argmax between candidates that differ by less than 1e-14), so only
+    the covers must agree within ``noise`` there.
+    """
+    ref_retained = list(reference.retained)
+    cand_retained = list(candidate.retained)
+    if cand_retained != ref_retained:
+        width = min(len(ref_retained), len(cand_retained))
+        diverged = next(
+            (
+                i for i in range(width)
+                if ref_retained[i] != cand_retained[i]
+            ),
+            width,
+        )
+        prefix_covers = reference.prefix_covers
+        if (
+            prefix_covers is not None
+            and diverged + 1 < len(prefix_covers)
+            and prefix_covers[diverged + 1] - prefix_covers[diverged]
+            <= noise
+        ):
+            # Tie tail: both paths are picking among noise-level gains.
+            if abs(candidate.cover - reference.cover) <= noise:
+                return None
+            return (
+                f"covers differ beyond the tie tail at position "
+                f"{diverged}: {reference.cover!r} vs {candidate.cover!r}"
+            )
+        if diverged < width:
+            return (
+                f"selection diverges at position {diverged}: expected "
+                f"{ref_retained[diverged:diverged + 3]!r}..., got "
+                f"{cand_retained[diverged:diverged + 3]!r}..."
+            )
+        return (
+            f"selection lengths differ: {len(ref_retained)} vs "
+            f"{len(cand_retained)}"
+        )
+    if candidate.cover != reference.cover:
+        return (
+            f"cover differs: {reference.cover!r} vs {candidate.cover!r}"
+        )
+    return None
+
+
+def _prefix_detail(
+    result: SolveResult, order: SolveResult, *, exact: bool
+) -> Optional[str]:
+    """How ``result`` fails to be ``order``'s prefix of its length.
+
+    With ``exact=False`` a divergence is legal when it is a tie: the
+    two selections then reach the same cover at every prefix (within
+    :data:`NOISE`), which is how strategies that break noise-level
+    ties differently still agree.
+    """
+    k = len(result.retained)
+    prefix = list(order.retained[:k])
+    if list(result.retained) == prefix:
+        return None
+    if exact:
+        return (
+            f"{k}-item selection {list(result.retained)!r} is not the "
+            f"greedy order's prefix {prefix!r}"
+        )
+    # A genuinely wrong pick loses more than noise somewhere along the
+    # chain.
+    if result.prefix_covers is None or order.prefix_covers is None:
+        return (
+            f"k={k} selections diverge from the greedy-order prefix "
+            f"and no prefix_covers are available to arbitrate"
+        )
+    res_prefix = np.asarray(result.prefix_covers, dtype=np.float64)
+    ord_prefix = np.asarray(order.prefix_covers, dtype=np.float64)
+    if res_prefix.size != k + 1 or ord_prefix.size < k + 1:
+        return (
+            f"prefix_covers too short to arbitrate a k={k} divergence"
+        )
+    gaps = np.abs(res_prefix - ord_prefix[: k + 1])
+    worst = int(np.argmax(gaps))
+    if float(gaps[worst]) > NOISE:
+        return (
+            f"k={k} solve diverges from the greedy-order prefix beyond "
+            f"tie noise: C(S_{worst}) = {float(res_prefix[worst])!r} vs "
+            f"ordering's {float(ord_prefix[worst])!r}"
+        )
+    return None
+
+
 # ----------------------------------------------------------------------
 # Oracles
 # ----------------------------------------------------------------------
 @register_invariant(
     "result-consistency",
+    applies=lambda r: r.result is not None,
     description="SolveResult internal integrity (ids/indices/flags)",
 )
 def _check_result_consistency(record: SolveRecord) -> Optional[str]:
@@ -366,36 +502,9 @@ def _check_submodularity_spot(record: SolveRecord) -> Optional[str]:
                 "greedy ordering (modulo noise ties)",
 )
 def _check_prefix_property(record: SolveRecord) -> Optional[str]:
-    result = record.result
-    order = record.order
-    k = len(result.retained)
-    if list(result.retained) == list(order.retained[:k]):
-        return None
-    # The selections differ — legal only for ties: when competing
-    # candidates have (numerically) equal gains, strategies may break
-    # the tie differently, but every prefix must then achieve the same
-    # cover.  A genuinely wrong pick loses more than noise somewhere
-    # along the chain.
-    if result.prefix_covers is None or order.prefix_covers is None:
-        return (
-            f"k={k} selections diverge from the greedy-order prefix "
-            f"and no prefix_covers are available to arbitrate"
-        )
-    res_prefix = np.asarray(result.prefix_covers, dtype=np.float64)
-    ord_prefix = np.asarray(order.prefix_covers, dtype=np.float64)
-    if res_prefix.size != k + 1 or ord_prefix.size < k + 1:
-        return (
-            f"prefix_covers too short to arbitrate a k={k} divergence"
-        )
-    gaps = np.abs(res_prefix - ord_prefix[: k + 1])
-    worst = int(np.argmax(gaps))
-    if float(gaps[worst]) > NOISE:
-        return (
-            f"k={k} solve diverges from the greedy-order prefix beyond "
-            f"tie noise: C(S_{worst}) = {float(res_prefix[worst])!r} vs "
-            f"ordering's {float(ord_prefix[worst])!r}"
-        )
-    return None
+    # Strategies may break ties between (numerically) equal gains
+    # differently, so a divergence is judged by the covers.
+    return _prefix_detail(record.result, record.order, exact=False)
 
 
 @register_invariant(
@@ -522,4 +631,331 @@ def _check_serving_cold_solve(record: SolveRecord) -> Optional[str]:
     offline = item_coverage(snapshot.graph, cold.retained, record.variant)
     if not np.array_equal(snapshot.conditional, offline):
         return "served conditional differs from the cold solve's"
+    return None
+
+
+# ----------------------------------------------------------------------
+# Differential and resilience oracles
+# ----------------------------------------------------------------------
+@register_invariant(
+    "reference-parity",
+    applies=lambda r: r.reference is not None,
+    description="a solve equals its reference solve (accelerated vs "
+                "naive, resumed vs clean): identical selection and "
+                "bit-equal cover, modulo the noise-tie tail",
+)
+def _check_reference_parity(record: SolveRecord) -> Optional[str]:
+    return compare_results(record.reference, record.result)
+
+
+@register_invariant(
+    "threshold-prefix",
+    applies=lambda r: r.mode == "threshold" and r.order is not None,
+    description="a threshold solve selects exactly the accelerated full "
+                "order's prefix of its length and reaches its target",
+)
+def _check_threshold_prefix(record: SolveRecord) -> Optional[str]:
+    # One engine (the accelerated gains) makes both selections, so
+    # they agree exactly, ties included.
+    result = record.result
+    threshold = float(record.params["threshold"])
+    detail = _prefix_detail(result, record.order, exact=True)
+    if detail is not None:
+        return f"threshold={threshold:.6f}: {detail}"
+    if not result.interrupted and result.cover < threshold - 1e-12:
+        return (
+            f"threshold={threshold:.6f} not reached: cover="
+            f"{result.cover!r}"
+        )
+    return None
+
+
+@register_invariant(
+    "interrupted-prefix",
+    applies=lambda r: r.order is not None and (
+        r.result.interrupted or "deadline_s" in r.params
+    ),
+    description="an interrupted solve returns a flagged, non-empty prefix "
+                "of the full greedy order; a zero-deadline guard stops "
+                "it before k",
+)
+def _check_interrupted_prefix(record: SolveRecord) -> Optional[str]:
+    result, k = record.result, record.params.get("k")
+    if not result.interrupted:
+        return "a zero-deadline run guard did not interrupt the solve"
+    # A stop fault may fire after the last round; a zero deadline trips
+    # after the first.
+    limit = k - 1 if "deadline_s" in record.params else k
+    size = len(result.retained)
+    if size == 0 or (limit is not None and size > limit):
+        return (
+            f"interrupted solve kept {size} item(s); expected 1 to "
+            f"{limit}"
+        )
+    # The same strategy replays the same picks; another one may break
+    # noise ties its own way.
+    return _prefix_detail(
+        result, record.order, exact=result.strategy == record.order.strategy
+    )
+
+
+@register_invariant(
+    "kill-fires",
+    applies=lambda r: "crashed" in r.seen,
+    description="the injected kill_round crash fired",
+)
+def _check_kill_fires(record: SolveRecord) -> Optional[str]:
+    return None if record.seen["crashed"] else "injected crash did not fire"
+
+
+@register_invariant(
+    "no-temp-checkpoints",
+    applies=lambda r: "leftovers" in r.seen,
+    description="a killed and resumed solve leaves no .tmp-* checkpoint",
+)
+def _check_no_temp_checkpoints(record: SolveRecord) -> Optional[str]:
+    leftovers = record.seen["leftovers"]
+    return f"leaked temp checkpoints: {leftovers}" if leftovers else None
+
+
+# ----------------------------------------------------------------------
+# Serving oracles
+# ----------------------------------------------------------------------
+@register_invariant(
+    "serving-reads",
+    applies=lambda r: "point" in r.seen,
+    description="covered_probability and query rows equal offline "
+                "item_coverage and retained membership",
+)
+def _check_serving_reads(record: SolveRecord) -> Optional[str]:
+    snapshot, seen = record.snapshot, record.seen
+    offline = item_coverage(
+        snapshot.graph, snapshot.result.retained, record.variant
+    )
+    retained = set(snapshot.result.retained)
+    for index, item in enumerate(snapshot.graph.items):
+        expected = float(offline[index])
+        if seen["point"][index] != expected:
+            return (
+                f"covered_probability({item!r}) = "
+                f"{seen['point'][index]!r}, offline says {expected!r}"
+            )
+        row = seen["query"][index]
+        if row["retained"] != (item in retained) \
+                or row["covered_probability"] != expected:
+            return (
+                f"query({item!r}) = {row!r}; offline says retained="
+                f"{item in retained}, covered_probability={expected!r}"
+            )
+    return None
+
+
+@register_invariant(
+    "serving-alternatives",
+    applies=lambda r: "alternatives" in r.seen,
+    description="top_alternatives lists only retained items, best "
+                "acceptance first, and none for a retained item",
+)
+def _check_serving_alternatives(record: SolveRecord) -> Optional[str]:
+    retained = set(record.snapshot.result.retained)
+    for item, alternatives in zip(
+        record.snapshot.graph.items, record.seen["alternatives"]
+    ):
+        weights = [weight for _, weight in alternatives]
+        if any(alt not in retained for alt, _ in alternatives):
+            return f"top_alternatives({item!r}) returned a dropped item"
+        if weights != sorted(weights, reverse=True):
+            return f"top_alternatives({item!r}) not sorted by acceptance"
+        if item in retained and alternatives:
+            return f"retained item {item!r} was offered alternatives"
+    return None
+
+
+@register_invariant(
+    "serving-cache-hit",
+    applies=lambda r: "again" in r.seen,
+    description="a second ensure() returns the identical snapshot object",
+)
+def _check_serving_cache_hit(record: SolveRecord) -> Optional[str]:
+    return None if record.seen["again"] is record.snapshot else (
+        "second ensure() re-solved instead of hitting the cache"
+    )
+
+
+@register_invariant(
+    "serving-hot-swap",
+    applies=lambda r: "active" in r.seen,
+    description="the snapshot a solve or delta built is the service's "
+                "active one, and a delta's carries its sequence",
+)
+def _check_serving_hot_swap(record: SolveRecord) -> Optional[str]:
+    snapshot, sequence = record.snapshot, record.seen.get("delta_sequence")
+    if record.seen["active"] is not snapshot:
+        return "apply_delta did not swap the active snapshot"
+    if sequence is not None and snapshot.sequence != sequence:
+        return (
+            f"the delta at sequence {sequence} was not refreshed: the "
+            f"snapshot is at sequence {snapshot.sequence}"
+        )
+    return None
+
+
+@register_invariant(
+    "bad-delta-rejected",
+    applies=lambda r: "bad_delta" in r.seen,
+    description="a malformed or invariant-breaking delta raises a typed "
+                "error, leaves the active snapshot, sequence and graph "
+                "as they were, counts in serving.deltas_rejected, and "
+                "the next good delta refreshes",
+)
+def _check_bad_delta_rejected(record: SolveRecord) -> Optional[str]:
+    bad = record.seen["bad_delta"]
+    before, after = bad["before"], bad["after"]
+    kind = bad["kind"]
+    if not isinstance(bad["error"], ReproError):
+        return f"{kind} delta raised {bad['error']!r}, not a ReproError"
+    if after["active"] is not before["active"]:
+        return f"{kind} delta replaced the active snapshot"
+    for name in ("sequence", "graph"):
+        if after[name] != before[name]:
+            return f"rejected {kind} delta changed the service's {name}"
+    if after["rejected"] != before["rejected"] + 1:
+        return (
+            f"serving.deltas_rejected went {before['rejected']} -> "
+            f"{after['rejected']} for a rejected {kind} delta"
+        )
+    if record.snapshot.sequence != record.seen["delta_sequence"]:
+        return f"the good delta after a rejected {kind} one did not refresh"
+    return None
+
+
+# ----------------------------------------------------------------------
+# Serving-runtime (chaos) oracles
+# ----------------------------------------------------------------------
+@register_invariant(
+    "served-bitwise",
+    applies=lambda r: r.mode == "chaos" and r.seen["answers"] is not None,
+    description="runtime answers equal offline item_coverage of the "
+                "serving snapshot bitwise, at every tier",
+)
+def _check_served_bitwise(record: SolveRecord) -> Optional[str]:
+    offline = item_coverage(
+        record.graph, record.result.retained, record.variant
+    )
+    served = np.array([answer.value for answer in record.seen["answers"]])
+    if np.array_equal(served, offline):
+        return None
+    return (
+        f"served answers diverge from offline item_coverage at tier "
+        f"{record.seen['tier'].label} (max delta "
+        f"{float(np.max(np.abs(served - offline))):.3e})"
+    )
+
+
+@register_invariant(
+    "served-stamps",
+    applies=lambda r: r.mode == "chaos" and r.seen["answers"] is not None,
+    description="runtime answers carry the runtime's tier, and fresh or "
+                "stale ones a staleness",
+)
+def _check_served_stamps(record: SolveRecord) -> Optional[str]:
+    from ..serving.runtime import Tier
+
+    answers, tier = record.seen["answers"], record.seen["tier"]
+    stamped = {answer.tier for answer in answers}
+    if stamped != {tier}:
+        return (
+            f"answers stamped {sorted(t.label for t in stamped)}, "
+            f"runtime says {tier.label}"
+        )
+    if tier in (Tier.FRESH, Tier.STALE) and any(
+        answer.staleness_s is None for answer in answers
+    ):
+        return f"{tier.label} answers missing a staleness stamp"
+    return None
+
+
+@register_invariant(
+    "shed-only-at-shed",
+    applies=lambda r: r.mode == "chaos",
+    description="the runtime raises ServingError only at tier shed",
+)
+def _check_shed_only_at_shed(record: SolveRecord) -> Optional[str]:
+    from ..serving.runtime import Tier
+
+    tier = record.seen["tier"]
+    if record.seen["answers"] is None and tier is not Tier.SHED:
+        return f"query shed but tier is {tier.label}"
+    return None
+
+
+@register_invariant(
+    "tier-ladder",
+    applies=lambda r: r.mode == "chaos",
+    description="the tier starts fresh; a delta's successful refresh "
+                "leaves it fresh, and a failed one never improves it nor "
+                "leaves it better than stale",
+)
+def _check_tier_ladder(record: SolveRecord) -> Optional[str]:
+    from ..serving.runtime import Tier
+
+    seen = record.seen
+    phase, tier = seen["phase"], seen["tier_after"]
+    if "tier_before" not in seen:  # start, recovery or restart
+        return None if tier is Tier.FRESH else (
+            f"{phase}: tier {tier.label}, expected fresh"
+        )
+    if seen["refreshed"]:
+        return None if tier is Tier.FRESH else (
+            f"{phase}: refreshed, but the tier is {tier.label}"
+        )
+    before = seen["tier_before"]
+    return None if tier >= max(before, Tier.STALE) else (
+        f"{phase}: the refresh failed, yet the tier went "
+        f"{before.label} -> {tier.label}"
+    )
+
+
+@register_invariant(
+    "recovery",
+    applies=lambda r: "breaker" in r.seen,
+    description="once faults clear, a refresh succeeds, closes the "
+                "breaker and serves the offline cover",
+)
+def _check_recovery(record: SolveRecord) -> Optional[str]:
+    recovered, breaker = record.seen["recovered"], record.seen["breaker"]
+    if recovered is None:
+        return "no refresh succeeded after the faults cleared"
+    if breaker != "closed":
+        return f"breaker {breaker} after recovery"
+    offline = cover(
+        recovered.graph, recovered.result.retained, record.variant
+    )
+    if abs(recovered.result.cover - offline) > NOISE:
+        return (
+            f"recovered cover {recovered.result.cover!r} != offline "
+            f"{offline!r}"
+        )
+    return None
+
+
+@register_invariant(
+    "warm-restart",
+    applies=lambda r: "last_good" in r.seen,
+    description="a runtime restarted on the persistence directory adopts "
+                "the last good snapshot: same retained list, bitwise "
+                "equal conditional coverage",
+)
+def _check_warm_restart(record: SolveRecord) -> Optional[str]:
+    seen = record.seen
+    if not seen["restored"]:
+        return "restarted runtime did not adopt the persisted snapshot"
+    adopted, last_good = seen["adopted"], seen["last_good"]
+    if list(adopted.result.retained) != list(last_good.result.retained):
+        return "restored retained set differs from the last good snapshot"
+    if not np.array_equal(adopted.conditional, last_good.conditional):
+        return (
+            "restored conditional coverage diverges from the last good "
+            "snapshot"
+        )
     return None

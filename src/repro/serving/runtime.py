@@ -36,9 +36,9 @@ The differential guarantee survives every tier that serves: snapshots
 coverage vector through :func:`repro.core.cover.item_coverage` at
 construction, so a served answer is bitwise-equal to an offline
 recomputation over the snapshot's retained set by construction.
-``repro check --serving-chaos`` (see
-:mod:`repro.evaluation.serving_chaos`) proves this under injected
-refresh crashes, latency and restarts.
+``repro check --serving-chaos`` (the ``chaos`` mode of
+:mod:`repro.evaluation.fuzz`) proves this under injected refresh
+crashes, latency and restarts.
 """
 
 from __future__ import annotations
@@ -887,11 +887,12 @@ class ServingRuntime:
         drop as usual); only the refresh is retried.  On refresh
         failure the runtime degrades — the last good snapshot keeps
         serving, stamped stale — and returns it (or ``None`` when
-        nothing is servable yet).  A delta with a bad entry is rejected
-        whole by :meth:`AssortmentService.stage_delta`: the graph is
-        left as it was and the entry's typed error (a
-        :class:`~repro.errors.ReproError` for a bad item, edge or
-        weight) propagates; the serving front end catches it.
+        nothing is servable yet).  A delta with a bad entry, or one that
+        would leave the graph invalid, is rejected whole by
+        :meth:`AssortmentService.stage_delta` before any refresh: the
+        graph is left as it was and the typed error (a
+        :class:`~repro.errors.ReproError`) propagates; the serving front
+        end catches it.
         """
         if not self.service.stage_delta(delta):
             return self.service.active

@@ -113,9 +113,11 @@ class AssortmentService:
         """Solve the current graph cold and freeze the result.
 
         The solve validates the graph's CSR (memoized per graph state),
-        so a delta that broke the model's invariants fails the refresh
-        with :class:`~repro.errors.GraphValidationError` instead of
-        being served.
+        so an out-of-band edit of :attr:`graph` that broke the model's
+        invariants fails the refresh with
+        :class:`~repro.errors.GraphValidationError` instead of being
+        served (a delta that would break them is rejected at stage
+        time).
         """
         injector = active_faults()
         if injector is not None:
@@ -168,7 +170,7 @@ class AssortmentService:
 
     @property
     def graph(self) -> PreferenceGraph:
-        """The service's mutable market graph (delta-feed target)."""
+        """The service's market graph; each staged delta replaces it."""
         return self._graph
 
     def _snapshot(self) -> SolutionSnapshot:
@@ -239,8 +241,9 @@ class AssortmentService:
         """Apply a graph delta and refresh the active snapshot.
 
         Stale or duplicate deltas (``sequence`` at or below the last
-        one incorporated) are dropped, and a delta with a bad entry is
-        rejected whole (see :meth:`stage_delta`).  On a refresh failure
+        one incorporated) are dropped, and a delta with a bad entry, or
+        one that would leave the graph invalid, is rejected whole (see
+        :meth:`stage_delta`).  On a refresh failure
         the service *degrades instead of breaking*: the metric
         ``serving.refresh_failures`` is bumped, the last good snapshot
         stays active (queries keep working), and the error propagates
@@ -257,9 +260,12 @@ class AssortmentService:
         Returns ``True`` when the delta was incorporated (the active
         snapshot is now stale and a :meth:`refresh` is owed), ``False``
         when the delta was a stale/duplicate drop.  A delta with a bad
-        entry changes nothing: its error propagates, the graph and the
-        sequence stay as they were, and ``serving.deltas_rejected`` is
-        bumped.  This split exists
+        entry, or one whose merged graph fails validation (say, node
+        weights no longer summing to one), changes nothing: its error
+        propagates, the graph and the sequence stay as they were, and
+        ``serving.deltas_rejected`` is bumped.  The merged graph
+        replaces :attr:`graph` (read it afresh after a delta).  This
+        split exists
         for retrying callers: a graph mutation must happen exactly
         once, while the refresh that follows may be attempted many
         times — retrying :meth:`apply_delta` whole would hit the
@@ -273,8 +279,14 @@ class AssortmentService:
         if delta.sequence <= self._sequence and self._active is not None:
             self.metrics.incr("serving.deltas_stale")
             return False
+        # Staged on a copy (O(1) in bulk form: the arrays are shared)
+        # and adopted only once the merged graph validates, with the
+        # check the refresh's solve makes (memoized on the CSR), so a
+        # delta that breaks the model's invariants changes nothing.
+        staged = self._graph.copy()
         try:
-            delta.apply_to(self._graph)  # all or nothing
+            delta.apply_to(staged)  # all or nothing
+            as_csr(staged).validate(self.variant)
         except Exception as exc:
             self.metrics.incr("serving.deltas_rejected")
             _LOG.warning(
@@ -283,6 +295,7 @@ class AssortmentService:
                 error=f"{type(exc).__name__}: {exc}",
             )
             raise
+        self._graph = staged
         self._sequence = delta.sequence
         self.metrics.incr("serving.deltas_applied")
         return True

@@ -192,7 +192,7 @@ class TestCheck:
     def test_differential_smoke_passes(self, capsys):
         code = main([
             "check", "--differential", "--smoke",
-            "--instances", "2", "--max-items", "32",
+            "--rounds", "2", "--max-items", "32",
         ])
         captured = capsys.readouterr().out
         assert code == 0
@@ -201,7 +201,7 @@ class TestCheck:
 
     def test_verbose_prints_progress(self, capsys):
         code = main([
-            "check", "--differential", "--instances", "1",
+            "check", "--differential", "--rounds", "1",
             "--max-items", "24", "--verbose",
         ])
         captured = capsys.readouterr().out
@@ -212,3 +212,22 @@ class TestCheck:
         code = main(["check"])
         assert code == 2
         assert "--differential" in capsys.readouterr().err
+
+    def test_instances_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", "--differential", "--instances", "2"])
+        assert exit_info.value.code == 2
+
+    def test_every_preset_runs_on_one_engine(self, capsys, tmp_path):
+        from repro.evaluation.fuzz import PRESETS
+
+        code = main([
+            "check", "--differential", "--resilience", "--serving",
+            "--serving-chaos", "--fuzz", "--rounds", "2",
+            "--max-items", "12", "--artifact-dir", str(tmp_path),
+        ])
+        captured = capsys.readouterr().out
+        assert code == 0
+        for name in PRESETS:
+            assert f"{name}: 2 round(s) @ seed 0" in captured
+        assert not list(tmp_path.iterdir())

@@ -1,4 +1,8 @@
-"""Tests for the differential correctness harness."""
+"""Tests for the ``--differential`` preset and its oracles.
+
+``compare_results`` (the ``reference-parity`` oracle), the
+``threshold-prefix`` oracle, the one report type and the preset sweep.
+"""
 
 import dataclasses
 
@@ -6,12 +10,11 @@ import numpy as np
 
 from repro.core.greedy import greedy_solve
 from repro.core.result import SolveResult
-from repro.evaluation.differential import (
-    DifferentialFailure,
-    DifferentialReport,
-    _prefix_detail,
+from repro.evaluation.fuzz import FuzzCase, FuzzFailure, FuzzReport, run_fuzz
+from repro.evaluation.invariants import (
+    SolveRecord,
+    check_record,
     compare_results,
-    run_differential,
 )
 
 
@@ -84,6 +87,19 @@ class TestCompareResults:
         assert compare_results(reference, tampered) is not None
 
 
+def _prefix_detail(order, threshold_result, threshold):
+    """The ``threshold-prefix`` oracle's verdict on one threshold solve."""
+    violations = check_record(
+        SolveRecord(
+            graph=None, variant="independent", mode="threshold",
+            result=threshold_result, params={"threshold": threshold},
+            order=order,
+        ),
+        names=["threshold-prefix"],
+    )
+    return violations[0].detail if violations else None
+
+
 class TestPrefixDetail:
     def test_qualifying_prefix_passes(self):
         order = _result([3, 1, 2, 0], 0.95)
@@ -94,7 +110,7 @@ class TestPrefixDetail:
         order = _result([3, 1, 2, 0], 0.95)
         threshold_result = _result([3, 2], 0.8, k=2)
         detail = _prefix_detail(order, threshold_result, 0.75)
-        assert "not a greedy prefix" in detail
+        assert "not the greedy order's prefix" in detail
 
     def test_unreached_threshold_reported(self):
         order = _result([3, 1, 2, 0], 0.95)
@@ -105,54 +121,62 @@ class TestPrefixDetail:
 
 class TestReport:
     def test_ok_summary(self):
-        report = DifferentialReport(
-            instances=3, variants=("independent",), checks=12,
+        report = FuzzReport(
+            rounds=3, seed=0, preset="differential", checks=12,
             wall_time_s=0.5,
         )
         assert report.ok
+        assert report.summary().startswith("differential: 3 round(s)")
         assert "OK" in report.summary()
 
     def test_failure_summary_lists_details(self):
-        report = DifferentialReport(
-            instances=1, variants=("independent",), checks=1,
+        report = FuzzReport(
+            rounds=1, seed=0, preset="differential", checks=1,
+        )
+        case = FuzzCase(
+            items=[0], node_weights=[1.0], edges=[],
+            variant="independent", mode="differential", k=1,
         )
         report.failures.append(
-            DifferentialFailure(
-                variant="independent", instance="sparse#0",
-                combo="strategy=accelerated", detail="selection diverges",
+            FuzzFailure(
+                round_no=0, invariant="reference-parity",
+                detail="selection diverges", case=case,
+                artifact="differential-0-0000-reference-parity.json",
             )
         )
         assert not report.ok
         summary = report.summary()
         assert "1 FAILURE(S)" in summary
-        assert "strategy=accelerated" in summary
+        assert "reference-parity" in summary
+        assert "differential-0-0000-reference-parity.json" in summary
 
 
 class TestRunDifferential:
     def test_smoke_sweep_passes(self):
         lines = []
-        report = run_differential(
-            instances=3, min_items=12, max_items=36, seed=7,
+        report = run_fuzz(
+            preset="differential", rounds=6, max_items=36, seed=7,
             log=lines.append,
         )
         assert report.ok, report.summary()
-        # Per instance: 1 strategy check + 1 threshold-prefix check,
-        # across 2 variants.
-        assert report.checks == 2 * 3 * 2
+        # Per round a k record (with its naive reference and the full
+        # order) and a threshold record, each past several oracles.
+        assert report.checks > 6 * 2 * 4
         assert report.wall_time_s > 0
-        assert len(lines) == 2 * 3
+        assert len(lines) == 6
 
     def test_degenerate_size_range_is_clamped(self):
-        report = run_differential(
-            instances=1, min_items=100, max_items=10, seed=3,
-            variants=("independent",),
+        # Below the families' 24-item floor the size range collapses
+        # onto max_items.
+        report = run_fuzz(
+            preset="differential", rounds=2, max_items=10, seed=3,
         )
         assert report.ok, report.summary()
 
     def test_single_failure_fails_report(self, monkeypatch):
-        import repro.evaluation.differential as differential
+        import repro.evaluation.invariants as invariants
 
-        real = differential.compare_results
+        real = invariants.compare_results
 
         def sabotage(reference, candidate, **kwargs):
             detail = real(reference, candidate, **kwargs)
@@ -160,10 +184,9 @@ class TestRunDifferential:
                 return "injected divergence"
             return detail
 
-        monkeypatch.setattr(differential, "compare_results", sabotage)
-        report = run_differential(
-            instances=1, min_items=12, max_items=24, seed=1,
-            variants=("independent",),
+        monkeypatch.setattr(invariants, "compare_results", sabotage)
+        report = run_fuzz(
+            preset="differential", rounds=1, max_items=8, seed=1,
         )
         assert not report.ok
         assert any(

@@ -11,7 +11,9 @@ import pytest
 from repro import solve
 from repro.errors import SolverInterrupted
 from repro.evaluation.fuzz import (
+    PRESETS,
     FuzzCase,
+    family_case,
     generate_case,
     load_artifact,
     replay_artifact,
@@ -285,6 +287,46 @@ class TestArtifacts:
             load_artifact(path)
 
 
+class TestFamilyCases:
+    def test_rounds_alternate_variants_deterministically(self):
+        def draw():
+            rng = random.Random(0)
+            return [family_case(rng, "differential", i, 30) for i in range(6)]
+
+        cases = draw()
+        assert [c.variant for c in cases] == ["independent", "normalized"] * 3
+        assert all(24 <= len(c.items) <= 30 for c in cases)
+        for case in cases:  # stored whole: the graph rebuilds and validates
+            case.build_graph().validate(case.variant)
+        assert [c.to_dict() for c in draw()] == [c.to_dict() for c in cases]
+
+    def test_chaos_case_records_its_fault_spec(self, monkeypatch, tmp_path):
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        case = family_case(random.Random(1), "chaos", 0, 24)
+        assert case.faults.startswith(
+            "refresh_crash=0.7:refresh_delay=0.0005:seed="
+        )
+        monkeypatch.setenv(
+            "REPRO_FAULTS", "refresh_crash=0.9:refresh_delay=0.002:seed=31"
+        )
+        case = family_case(random.Random(1), "chaos", 0, 24)
+        assert case.faults == (
+            f"refresh_crash=0.9:refresh_delay=0.002:seed={case.delta_seed}"
+        )
+        # The replay runs under the recorded spec, not the environment.
+        path = write_artifact(
+            tmp_path, seed=1, round_no=0, case=case, preset="serving-chaos",
+            failure=InvariantViolation("tier-ladder", "synthetic"),
+        )
+        monkeypatch.setenv("REPRO_FAULTS", "refresh_crash=1.0:seed=2")
+        assert replay_artifact(path) == []
+
+    def test_preset_streams_are_green(self):
+        for preset in PRESETS:
+            report = run_fuzz(preset=preset, rounds=4, max_items=16, seed=3)
+            assert report.ok, report.summary()
+
+
 class TestRunCase:
     def test_shuffled_int_ids_run_clean(self):
         # Integer ids that are a non-identity permutation of the index
@@ -315,3 +357,114 @@ class TestRunCase:
         violations, _ = run_case(case)
         assert len(violations) == 1
         assert violations[0].invariant == "no-crash"
+
+
+class TestPresetsCatchSeededBugs:
+    """One seeded bug per preset: caught, shrunk, and replayed by
+    ``repro check --replay`` (still failing with the bug, clean
+    without it)."""
+
+    @staticmethod
+    def caught(monkeypatch, tmp_path, preset, invariant, rounds):
+        from repro.cli import main
+
+        report = run_fuzz(
+            preset=preset, rounds=rounds, max_items=24, seed=0,
+            artifact_dir=tmp_path,
+        )
+        failures = [f for f in report.failures if f.invariant == invariant]
+        assert failures, report.summary()
+        smallest = min(failures, key=lambda f: len(f.case.items))
+        assert len(smallest.case.items) <= 8  # from 24
+        assert main(["check", "--replay", smallest.artifact]) == 1
+        monkeypatch.undo()
+        assert main(["check", "--replay", smallest.artifact]) == 0
+        return smallest
+
+    def test_differential_catches_accelerated_drift(
+        self, monkeypatch, tmp_path
+    ):
+        greedy = importlib.import_module("repro.core.greedy")
+        real = greedy._run_accelerated
+
+        def drifting(state, *args, **kwargs):
+            # One ulp on the cover: within every tolerance but parity's.
+            out = real(state, *args, **kwargs)
+            state.cover = float(np.nextafter(state.cover, 2.0))
+            return out
+
+        monkeypatch.setattr(greedy, "_run_accelerated", drifting)
+        self.caught(
+            monkeypatch, tmp_path, "differential", "reference-parity", 2
+        )
+
+    def test_resilience_catches_a_loader_without_fallback(
+        self, monkeypatch, tmp_path
+    ):
+        from repro.resilience import Checkpointer
+
+        real = Checkpointer._read_valid
+
+        def no_fallback(path, context, n_items):
+            json.loads(path.read_text())  # a truncated snapshot raises
+            return real(path, context, n_items)
+
+        monkeypatch.setattr(
+            Checkpointer, "_read_valid", staticmethod(no_fallback)
+        )
+        failure = self.caught(
+            monkeypatch, tmp_path, "resilience", "no-crash", 2
+        )
+        assert "JSONDecodeError" in failure.detail
+
+    def test_serving_catches_an_ulp_off_point_read(
+        self, monkeypatch, tmp_path
+    ):
+        from repro.serving import SolutionSnapshot
+
+        real = SolutionSnapshot.covered_probability
+
+        def one_ulp_high(self, request):
+            return float(np.nextafter(real(self, request), 2.0))
+
+        monkeypatch.setattr(
+            SolutionSnapshot, "covered_probability", one_ulp_high
+        )
+        self.caught(monkeypatch, tmp_path, "serving", "serving-reads", 2)
+
+    def test_chaos_catches_a_tier_improving_without_refresh(
+        self, monkeypatch, tmp_path
+    ):
+        from repro.serving import ServingRuntime, Tier
+
+        monkeypatch.setattr(
+            ServingRuntime, "_degrade_after_failure",
+            lambda self: self._set_tier(Tier.FRESH),
+        )
+        self.caught(
+            monkeypatch, tmp_path, "serving-chaos", "tier-ladder", 2
+        )
+
+    def test_serving_catches_a_delta_staged_unvalidated(
+        self, monkeypatch, tmp_path
+    ):
+        from repro.serving import AssortmentService
+
+        def unvalidated(self, delta):
+            # Staging before stage-time validation: the delta is applied
+            # in place and only the refresh finds the graph invalid.
+            if delta.sequence <= self._sequence and self._active is not None:
+                return False
+            try:
+                delta.apply_to(self._graph)
+            except Exception:
+                self.metrics.incr("serving.deltas_rejected")
+                raise
+            self._sequence = delta.sequence
+            return True
+
+        monkeypatch.setattr(AssortmentService, "_stage_locked", unvalidated)
+        failure = self.caught(
+            monkeypatch, tmp_path, "serving", "bad-delta-rejected", 16
+        )
+        assert failure.case.bad_delta == "weight"

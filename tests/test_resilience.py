@@ -463,12 +463,10 @@ class TestFacade:
 
 class TestHarness:
     def test_resilience_differential_smoke(self):
-        from repro.evaluation.resilience import (
-            run_resilience_differential,
-        )
+        from repro.evaluation.fuzz import run_fuzz
 
-        report = run_resilience_differential(
-            instances=2, min_items=12, max_items=24, seed=5
+        report = run_fuzz(
+            preset="resilience", rounds=4, max_items=24, seed=5
         )
         assert report.ok, report.summary()
         assert report.checks > 20

@@ -843,29 +843,37 @@ class TestApiSatellites:
 # ----------------------------------------------------------------------
 class TestServingDifferentialHarness:
     def test_smoke_sweep_is_clean(self):
-        from repro.evaluation.serving_check import run_serving_differential
+        from repro.evaluation.fuzz import run_fuzz
 
-        report = run_serving_differential(
-            instances=3, max_items=60, seed=0
-        )
+        report = run_fuzz(preset="serving", rounds=6, max_items=60, seed=0)
         assert report.ok, report.summary()
         assert report.checks > 0
         assert "OK" in report.summary()
 
     def test_failures_are_reported(self):
-        from repro.evaluation.serving_check import (
-            ServingFailure,
-            ServingReport,
-        )
+        from repro.evaluation.fuzz import FuzzFailure, FuzzReport
 
-        report = ServingReport(instances=1, variants=("independent",))
+        report = FuzzReport(rounds=1, seed=0, preset="serving")
         report.failures.append(
-            ServingFailure(
-                variant="independent", instance="x", check="c", detail="d"
+            FuzzFailure(
+                round_no=0, invariant="c", detail="d", case=None,
             )
         )
         assert not report.ok
         assert "FAILURE" in report.summary()
+
+    def test_bad_deltas_are_drawn_and_rejected(self):
+        import random
+
+        from repro.evaluation.fuzz import BAD_DELTAS, family_case, run_case
+
+        rng = random.Random(0)
+        cases = [family_case(rng, "serving", i, 24) for i in range(24)]
+        assert {case.bad_delta for case in cases} == {None, *BAD_DELTAS}
+        for case in cases:
+            if case.bad_delta is not None:
+                violations, _ = run_case(case)
+                assert violations == [], violations
 
 
 # ----------------------------------------------------------------------
@@ -881,25 +889,57 @@ class TestInvalidDelta:
         item = good.graph.items[0]
         return service, good, GraphDelta(node_weights={item: 5.0}, sequence=1)
 
-    def test_service_refresh_fails_and_keeps_the_last_good_snapshot(self):
+    @staticmethod
+    def edge_delta(service, sequence):
+        """An edge-only delta that keeps the graph valid."""
+        source, target, weight = next(iter(service.graph.edges()))
+        return GraphDelta(
+            edge_updates=((source, target, weight * 0.9),), sequence=sequence
+        )
+
+    def test_service_rejects_the_delta_and_keeps_the_last_good_snapshot(self):
         service, good, delta = self.service_and_delta()
+        graph = service.graph
         with pytest.raises(repro.GraphValidationError):
             service.apply_delta(delta)
-        with pytest.raises(repro.GraphValidationError):
-            service.refresh()
+        assert service.graph is graph
+        assert service.stats()["sequence"] == 0
+        assert service.metrics.counter("serving.deltas_rejected").value == 1
+        assert service.refresh_failures == 0
         assert service.active is good
-        assert service.refresh_failures == 2
-        assert service.metrics.counter("serving.refresh_failures").value == 2
         item = good.graph.items[0]
         assert service.covered_probability(item) == \
             good.covered_probability(item)
 
-    def test_runtime_serves_the_last_good_snapshot_stale(self):
+    def test_edge_delta_after_a_rejected_one_refreshes(self):
+        service, good, delta = self.service_and_delta()
+        with pytest.raises(repro.GraphValidationError):
+            service.apply_delta(delta)
+        refreshed = service.apply_delta(self.edge_delta(service, 2))
+        assert refreshed is service.active and refreshed is not good
+        assert refreshed.sequence == 2
+        assert service.refresh_failures == 0
+        assert service.metrics.counter("serving.deltas_rejected").value == 1
+
+    def test_runtime_rejects_the_delta_and_stays_fresh(self):
         service, good, delta = self.service_and_delta()
         runtime = ServingRuntime(
             service,
             retry=RetryPolicy(max_attempts=2, base_delay_s=0.0, jitter=0.0),
         )
-        assert runtime.apply_delta(delta) is good
-        assert runtime.tier.name == "STALE"
-        assert service.refresh_failures == 2
+        with pytest.raises(repro.GraphValidationError):
+            runtime.apply_delta(delta)
+        assert runtime.tier.name == "FRESH"
+        assert runtime.ensure() is good
+        assert service.refresh_failures == 0
+
+    def test_runtime_default_policy_refreshes_the_next_delta_first_try(self):
+        service, good, delta = self.service_and_delta()
+        runtime = ServingRuntime(service)
+        with pytest.raises(repro.GraphValidationError):
+            runtime.apply_delta(delta)
+        refreshed = runtime.apply_delta(self.edge_delta(service, 2))
+        assert refreshed.sequence == 2
+        assert runtime.tier.name == "FRESH"
+        assert service.refresh_failures == 0
+        assert runtime.metrics.counter("serving.retries").value == 0

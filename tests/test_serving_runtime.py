@@ -597,13 +597,20 @@ class TestIntegration:
         report = capsys.readouterr().out
         assert '"restored": true' in report
 
-    def test_chaos_harness_smoke_is_green(self):
-        from repro.evaluation.serving_chaos import run_serving_chaos
+    def test_chaos_harness_smoke_is_green(self, monkeypatch):
+        from repro.evaluation.fuzz import run_fuzz
 
-        report = run_serving_chaos(
-            instances=2, max_items=32, seed=5,
-            variants=("independent",),
+        fired = []
+        real = FaultInjector.refresh_fails
+
+        def counted(self):
+            fired.append(real(self))
+            return fired[-1]
+
+        monkeypatch.setattr(FaultInjector, "refresh_fails", counted)
+        report = run_fuzz(
+            preset="serving-chaos", rounds=2, max_items=32, seed=5
         )
         assert report.ok, report.summary()
-        assert report.faults_fired > 0
+        assert any(fired)
         assert "OK" in report.summary()
